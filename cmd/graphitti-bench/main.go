@@ -1,8 +1,8 @@
-// Command graphitti-bench regenerates every experiment recorded in
-// EXPERIMENTS.md (the per-figure/per-claim experiment index of DESIGN.md
-// §5) and prints the measured rows as markdown tables. The same workloads
-// back the testing.B benchmarks in bench_test.go; this harness exists so
-// the experiment document can be reproduced with one command:
+// Command graphitti-bench regenerates the experiment set listed under
+// "Tests and benchmarks" in README.md and prints the measured rows as
+// markdown tables. The same workloads back the testing.B benchmarks in
+// bench_test.go; this harness exists so the tables can be reproduced
+// with one command:
 //
 //	go run ./cmd/graphitti-bench [-quick]
 package main

@@ -4,6 +4,10 @@
 // with the persist format (e.g. from GET /api/snapshot), or -data-dir to
 // run durably: every mutation is write-ahead logged and fdatasynced
 // before it is acknowledged, and the directory is replayed on restart.
+// Every store is the sharded store: -shards writer pipelines behind one
+// router, one by default, each with its own WAL and snapshots under
+// -data-dir/shard-<k>/. A data directory written by the older unsharded
+// server is adopted as shard 0 on first open.
 //
 //	go run ./cmd/graphitti-server -addr :8080 -study influenza
 //	go run ./cmd/graphitti-server -addr :8080 -data-dir ./data
@@ -35,7 +39,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"syscall"
 	"time"
 
@@ -57,7 +60,7 @@ func main() {
 	flag.StringVar(&cfg.snapshot, "snapshot", "", "load the store from a persist snapshot file instead")
 	flag.StringVar(&cfg.dataDir, "data-dir", "", "durable mode: WAL + snapshot directory (created if missing)")
 	flag.Int64Var(&cfg.compactMiB, "compact-threshold-mib", 0, "durable mode: WAL size triggering compaction (0 = default)")
-	flag.IntVar(&cfg.shards, "shards", 1, "writer pipelines: >1 shards the store (per-shard WAL/snapshot under -data-dir); a durable directory pins its count, adopted when the flag is left unset (0 adopts explicitly)")
+	flag.IntVar(&cfg.shards, "shards", 0, "writer pipelines, each with its own WAL/snapshot under -data-dir/shard-<k>; 0 = the directory's recorded count, or 1 (an explicit mismatch is refused)")
 	flag.DurationVar(&cfg.opts.QueryTimeout, "query-timeout", 0, "per-request limit for /api/search and /api/query (0 = none); timed-out requests get a 408 JSON error")
 	flag.Int64Var(&cfg.opts.MaxBodyBytes, "max-body-bytes", 0, "cap on JSON request bodies (0 = default 8 MiB); larger requests get 413")
 	flag.StringVar(&cfg.rulesFile, "rules", "", "JSON file of propagation rules to install at startup (rules already present are kept)")
@@ -67,11 +70,6 @@ func main() {
 	flag.IntVar(&cfg.opts.TraceRingSize, "trace-ring", 0, "per-shard retention of GET /debug/traces (0 = default 256)")
 	flag.IntVar(&cfg.opts.TraceSampleEvery, "trace-sample", 0, "retain every Nth request's trace (0/1 = all; ?trace=1 requests are always kept)")
 	flag.Parse()
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "shards" {
-			cfg.shardsSet = true
-		}
-	})
 
 	logger := slog.New(slog.NewTextHandler(os.Stderr, nil))
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -83,17 +81,13 @@ func main() {
 }
 
 type serverConfig struct {
-	addr         string
-	study        string
-	anns, images int
-	snapshot     string
-	dataDir      string
-	compactMiB   int64
-	shards       int
-	// shardsSet records whether -shards was given explicitly: a durable
-	// directory's recorded count is adopted when it was not, and an
-	// explicit value must match the directory.
-	shardsSet       bool
+	addr            string
+	study           string
+	anns, images    int
+	snapshot        string
+	dataDir         string
+	compactMiB      int64
+	shards          int
 	rulesFile       string
 	shutdownTimeout time.Duration
 	opts            httpapi.Options
@@ -160,127 +154,38 @@ func run(ctx context.Context, cfg serverConfig, logger *slog.Logger) error {
 		logger.Error("serve failed", "err", err)
 	}
 
-	if store != nil {
-		if cerr := store.Close(); cerr != nil {
-			logger.Error("closing durable store", "dataDir", cfg.dataDir, "err", cerr)
-			if err == nil {
-				err = cerr
-			}
-		} else {
-			switch st := store.(type) {
-			case *durable.Store:
-				logger.Info("durable store closed", "dataDir", cfg.dataDir, "seq", st.Stats().Seq)
-			default:
-				logger.Info("durable store closed", "dataDir", cfg.dataDir)
-			}
+	if cerr := store.Close(); cerr != nil {
+		logger.Error("closing store", "dataDir", cfg.dataDir, "err", cerr)
+		if err == nil {
+			err = cerr
 		}
+	} else if store.Durable() {
+		logger.Info("durable store closed", "dataDir", cfg.dataDir)
 	}
 	return err
 }
 
-// closableStore is what run flushes and closes on exit: the durable
-// store, or the sharded store closing every pipeline.
-type closableStore interface {
-	Close() error
-}
-
-// buildHandler assembles the HTTP handler and, in durable mode, returns
-// the store so run can close it on exit.
-func buildHandler(cfg serverConfig) (http.Handler, closableStore, string, error) {
+// buildHandler assembles the store and its HTTP handler: -shards writer
+// pipelines behind the router, in memory or (with -data-dir) each with
+// its own WAL + snapshot chain under dir/shard-<k>/. run closes the
+// returned store on exit.
+func buildHandler(cfg serverConfig) (_ http.Handler, _ *shard.Store, report string, err error) {
 	rules, err := loadRules(cfg.rulesFile)
 	if err != nil {
 		return nil, nil, "", err
 	}
-	// -shards >1 runs the sharded pipeline. So does a data directory that
-	// was created sharded (its SHARDS.json names the count), whatever the
-	// flag says: falling through to the unsharded path would serve an
-	// empty store and fork the directory with a second top-level WAL
-	// beside the untouched shard-<k>/ data. A defaulted flag adopts the
-	// recorded count; an explicit mismatch is refused by shard.Open.
-	if cfg.shards > 1 || hasShardsManifest(cfg.dataDir) {
-		return buildShardedHandler(cfg, rules)
-	}
-	if cfg.dataDir == "" {
-		store, err := buildStore(cfg.study, cfg.anns, cfg.images, cfg.snapshot)
-		if err != nil {
-			return nil, nil, "", err
-		}
-		if err := installRules(rules, func(r graphitti.Rule) error {
-			return graphitti.AddRule(store, r)
-		}); err != nil {
-			return nil, nil, "", err
-		}
-		st := store.Stats()
-		report := fmt.Sprintf("graphitti-server: %d annotations, %d referents, %d a-graph edges, %d derived facts via %d rules (in-memory)\n",
-			st.Annotations, st.Referents, st.GraphEdges, st.Derived, len(graphitti.Rules(store)))
-		return httpapi.NewHandlerWithOptions(store, cfg.opts), nil, report, nil
-	}
-
-	// A directory with shard-<k>/ data but no manifest is a sharded
-	// deployment whose SHARDS.json was lost, not an unsharded store:
-	// opening it here would fork it with a top-level WAL while the shard
-	// data sits invisible.
-	if hasShardDirs(cfg.dataDir) {
-		return nil, nil, "", fmt.Errorf("data directory %s contains shard-* data but no SHARDS.json; restore the manifest with the original shard count", cfg.dataDir)
-	}
-	d, err := durable.Open(cfg.dataDir, durable.Options{CompactThreshold: cfg.compactMiB << 20})
-	if err != nil {
-		return nil, nil, "", err
-	}
-	ds := d.Stats()
-	report := fmt.Sprintf("graphitti-server: durable store in %s (seq %d, %d replayed, %d torn bytes truncated)\n",
-		cfg.dataDir, ds.Seq, ds.ReplayedRecords, ds.TornBytes)
-	if ds.Seq == 0 && (cfg.snapshot != "" || cfg.study != "") {
-		// Fresh directory: seed it from the requested study/snapshot and
-		// checkpoint immediately.
-		seed, err := buildStore(cfg.study, cfg.anns, cfg.images, cfg.snapshot)
-		if err != nil {
-			return nil, nil, "", err
-		}
-		snap, err := persist.Export(seed)
-		if err != nil {
-			return nil, nil, "", err
-		}
-		if _, err := d.Restore(snap); err != nil {
-			return nil, nil, "", err
-		}
-		report += fmt.Sprintf("seeded empty data dir from %s\n", seedSource(cfg.study, cfg.snapshot))
-	}
-	// Rules from -rules are durable ops: logged, so they survive
-	// restarts whether or not the file is passed again. Ones already
-	// present (replayed from a previous run) are kept, not duplicated.
-	if err := installRules(rules, d.AddRule); err != nil {
-		return nil, nil, "", err
-	}
-	st := d.Core().Stats()
-	report += fmt.Sprintf("serving %d annotations, %d referents, %d a-graph edges, %d derived facts via %d rules (durable)\n",
-		st.Annotations, st.Referents, st.GraphEdges, st.Derived, len(graphitti.Rules(d.Core())))
-	return httpapi.NewDurableHandlerWithOptions(d, cfg.opts), d, report, nil
-}
-
-// buildShardedHandler assembles the sharded deployment: -shards writer
-// pipelines behind the router, in-memory or (with -data-dir) each with
-// its own WAL + snapshot chain under dir/shard-<k>/.
-func buildShardedHandler(cfg serverConfig, rules []prop.Rule) (http.Handler, closableStore, string, error) {
-	var (
-		sh  *shard.Store
-		err error
-	)
+	var sh *shard.Store
 	if cfg.dataDir == "" {
 		sh = shard.New(cfg.shards)
-	} else {
-		n := cfg.shards
-		if !cfg.shardsSet && hasShardsManifest(cfg.dataDir) {
-			// Restart with the flag left at its default: adopt the
-			// directory's recorded count instead of imposing 1.
-			n = 0
-		}
-		sh, err = shard.Open(cfg.dataDir, n, durable.Options{CompactThreshold: cfg.compactMiB << 20})
-		if err != nil {
-			return nil, nil, "", err
-		}
+	} else if sh, err = shard.Open(cfg.dataDir, cfg.shards, durable.Options{CompactThreshold: cfg.compactMiB << 20}); err != nil {
+		return nil, nil, "", err
 	}
-	report := fmt.Sprintf("graphitti-server: %d shards", sh.NumShards())
+	defer func() {
+		if err != nil {
+			sh.Close()
+		}
+	}()
+	report = fmt.Sprintf("graphitti-server: %d shards", sh.NumShards())
 	fresh := true
 	if sh.Durable() {
 		var seq uint64
@@ -291,6 +196,8 @@ func buildShardedHandler(cfg serverConfig, rules []prop.Rule) (http.Handler, clo
 		report += fmt.Sprintf(" in %s (summed seq %d)", cfg.dataDir, seq)
 	}
 	report += "\n"
+	// A -study or -snapshot seeds only a store with no prior state; an
+	// existing data directory always wins.
 	if fresh && (cfg.snapshot != "" || cfg.study != "") {
 		seed, err := buildStore(cfg.study, cfg.anns, cfg.images, cfg.snapshot)
 		if err != nil {
@@ -303,19 +210,19 @@ func buildShardedHandler(cfg serverConfig, rules []prop.Rule) (http.Handler, clo
 		if err := sh.Restore(snap); err != nil {
 			return nil, nil, "", err
 		}
-		report += fmt.Sprintf("seeded shards from %s\n", seedSource(cfg.study, cfg.snapshot))
+		report += fmt.Sprintf("seeded from %s\n", seedSource(cfg.study, cfg.snapshot))
 	}
+	// Rules from -rules are durable ops when -data-dir is set: logged, so
+	// they survive restarts whether or not the file is passed again. Ones
+	// already present (replayed from a previous run) are kept, not
+	// duplicated.
 	if err := installRules(rules, sh.AddRule); err != nil {
 		return nil, nil, "", err
 	}
 	st := sh.Stats()
 	report += fmt.Sprintf("serving %d annotations, %d referents, %d a-graph edges, %d derived facts via %d rules (%d shards)\n",
 		st.Annotations, st.Referents, st.GraphEdges, st.Derived, len(sh.Rules()), sh.NumShards())
-	var closer closableStore
-	if sh.Durable() {
-		closer = sh
-	}
-	return httpapi.NewShardedHandlerWithOptions(sh, cfg.opts), closer, report, nil
+	return httpapi.NewShardedHandlerWithOptions(sh, cfg.opts), sh, report, nil
 }
 
 // loadRules parses the -rules file (nil when the flag is unset).
@@ -340,27 +247,6 @@ func installRules(rules []prop.Rule, add func(prop.Rule) error) error {
 		}
 	}
 	return nil
-}
-
-// hasShardsManifest reports whether dir was initialised as a sharded
-// data directory.
-func hasShardsManifest(dir string) bool {
-	if dir == "" {
-		return false
-	}
-	_, err := os.Stat(filepath.Join(dir, "SHARDS.json"))
-	return err == nil
-}
-
-// hasShardDirs reports whether dir holds shard-<k> subdirectories.
-func hasShardDirs(dir string) bool {
-	matches, _ := filepath.Glob(filepath.Join(dir, "shard-*"))
-	for _, m := range matches {
-		if fi, err := os.Stat(m); err == nil && fi.IsDir() {
-			return true
-		}
-	}
-	return false
 }
 
 func seedSource(study, snapshot string) string {

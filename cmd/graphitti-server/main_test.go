@@ -3,18 +3,22 @@ package main
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"io"
 	"log/slog"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"testing"
 	"time"
 
 	"graphitti/internal/durable"
+	"graphitti/internal/persist"
 	"graphitti/internal/prop"
 	"graphitti/internal/shard"
+	"graphitti/internal/workload"
 )
 
 // TestGracefulShutdownClosesStore runs the real server loop against a
@@ -49,6 +53,7 @@ func TestGracefulShutdownClosesStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("/healthz: %d", resp.StatusCode)
@@ -59,6 +64,7 @@ func TestGracefulShutdownClosesStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("add rule: %d", resp.StatusCode)
@@ -74,12 +80,12 @@ func TestGracefulShutdownClosesStore(t *testing.T) {
 		t.Fatal("server did not drain within 10s")
 	}
 
-	d, err := durable.Open(dir, durable.Options{})
+	sh, err := shard.Open(dir, 0, durable.Options{})
 	if err != nil {
 		t.Fatalf("reopen after shutdown: %v", err)
 	}
-	defer d.Close()
-	if st := d.Stats(); st.Seq != 1 || st.TornBytes != 0 {
+	defer sh.Close()
+	if st := sh.DurabilityStats(); sh.NumShards() != 1 || st[0].Seq != 1 || st[0].TornBytes != 0 {
 		t.Fatalf("store not cleanly closed: %+v", st)
 	}
 }
@@ -95,10 +101,8 @@ func TestBuildHandlerUnknownStudy(t *testing.T) {
 
 // TestShardedDirSurvivesDefaultFlags pins the restart contract for a
 // sharded data directory: rerunning the server with -shards left at its
-// default must adopt the count SHARDS.json records and serve the shard
-// data — not fall through to the unsharded path, which would serve an
-// empty store and fork the directory with a second top-level WAL. An
-// explicit mismatching -shards must refuse outright.
+// default (0) must adopt the count SHARDS.json records and serve the
+// shard data. An explicit mismatching -shards must refuse outright.
 func TestShardedDirSurvivesDefaultFlags(t *testing.T) {
 	dir := t.TempDir()
 	sh, err := shard.Open(dir, 2, durable.Options{})
@@ -112,14 +116,10 @@ func TestShardedDirSurvivesDefaultFlags(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The CLI default: -shards 1, not explicitly set.
-	_, store, _, err := buildHandler(serverConfig{dataDir: dir, shards: 1})
+	// The CLI default: -shards 0.
+	_, s2, _, err := buildHandler(serverConfig{dataDir: dir})
 	if err != nil {
 		t.Fatalf("restart with default flags: %v", err)
-	}
-	s2, ok := store.(*shard.Store)
-	if !ok {
-		t.Fatalf("restart served a %T, want the sharded store", store)
 	}
 	if got := s2.NumShards(); got != 2 {
 		t.Fatalf("adopted %d shards, want the directory's 2", got)
@@ -133,16 +133,65 @@ func TestShardedDirSurvivesDefaultFlags(t *testing.T) {
 
 	// An explicit -shards 1 over a 2-shard directory is a mismatch: the
 	// open must refuse with shard.Open's count error, never fork.
-	if _, _, _, err := buildHandler(serverConfig{dataDir: dir, shards: 1, shardsSet: true}); err == nil {
+	if _, _, _, err := buildHandler(serverConfig{dataDir: dir, shards: 1}); err == nil {
 		t.Fatal("explicit -shards 1 over a 2-shard directory was accepted")
 	}
 
-	// A directory whose manifest was lost must refuse the unsharded path
-	// too, instead of opening a fresh WAL beside the shard data.
+	// A directory whose manifest was lost must refuse too, instead of
+	// re-pinning a guessed count over the shard data.
 	if err := os.Remove(filepath.Join(dir, "SHARDS.json")); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := buildHandler(serverConfig{dataDir: dir, shards: 1}); err == nil {
-		t.Fatal("manifest-less shard directory opened as an unsharded store")
+	if _, _, _, err := buildHandler(serverConfig{dataDir: dir}); err == nil {
+		t.Fatal("manifest-less shard directory re-initialised")
+	}
+}
+
+// TestServerAdoptsLegacyDataDir: a data directory written by the
+// unsharded durable store serves every acknowledged record with -shards
+// unset or 1, and a restart opens it as an ordinary one-shard directory.
+func TestServerAdoptsLegacyDataDir(t *testing.T) {
+	for _, shards := range []int{0, 1} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			dir := t.TempDir()
+			d, err := durable.Open(dir, durable.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ops := workload.RecoveryScenario(workload.RecoveryConfig{Seed: 5, Images: 4, Ops: 60})
+			if err := workload.ApplyOps(d, ops); err != nil {
+				t.Fatal(err)
+			}
+			var want bytes.Buffer
+			if err := persist.Write(d.Core(), &want); err != nil {
+				t.Fatal(err)
+			}
+			if err := d.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			// The adopting start, then a restart with the default flag.
+			// The -study seed must not touch a directory holding data.
+			for _, restart := range []int{shards, 0} {
+				h, sh, _, err := buildHandler(serverConfig{dataDir: dir, shards: restart, study: "influenza", anns: 5})
+				if err != nil {
+					t.Fatalf("-shards %d: %v", restart, err)
+				}
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, httptest.NewRequest("GET", "/api/snapshot", nil))
+				if err := sh.Close(); err != nil {
+					t.Fatal(err)
+				}
+				if sh.NumShards() != 1 {
+					t.Fatalf("-shards %d: served %d shards, want 1", restart, sh.NumShards())
+				}
+				if rec.Body.String() != want.String() {
+					t.Fatalf("-shards %d: served snapshot differs from the legacy store's", restart)
+				}
+			}
+			if _, err := os.Stat(filepath.Join(dir, "shard-0", "graphitti.wal")); err != nil {
+				t.Fatalf("adopted WAL not under shard-0/: %v", err)
+			}
+		})
 	}
 }

@@ -97,15 +97,59 @@ func snapName(seq uint64) string { return fmt.Sprintf("graphitti-%016d.snap", se
 // HasStore reports whether dir already holds durable-store state — a
 // WAL, manifest, or checkpoint file. Callers laying out a different
 // store format over the same path (e.g. a sharded layout) use it to
-// refuse rather than silently ignore the existing data.
-func HasStore(dir string) bool {
+// adopt or refuse the existing data rather than silently ignore it.
+func HasStore(dir string) bool { return len(storeFiles(dir)) > 0 }
+
+// storeFiles lists the base names of the durable-store files in dir.
+func storeFiles(dir string) []string {
+	var names []string
 	for _, name := range []string{logFile, manifestFile} {
 		if _, err := os.Stat(filepath.Join(dir, name)); err == nil {
-			return true
+			names = append(names, name)
 		}
 	}
 	snaps, _ := filepath.Glob(filepath.Join(dir, snapPattern))
-	return len(snaps) > 0
+	for _, m := range snaps {
+		names = append(names, filepath.Base(m))
+	}
+	return names
+}
+
+// MoveStore moves the durable-store files of src into dst (created if
+// missing) with one rename each, then fsyncs both directories. Every
+// rename is idempotent — a file already moved is simply absent from src
+// — so a move cut short by a crash or fault is finished by calling
+// MoveStore again. A file present in both directories is refused: an
+// interrupted move never leaves one, so it means two stores would
+// collide. Each file operation consults inj.
+func MoveStore(src, dst string, inj faultfs.Injector) error {
+	if err := os.MkdirAll(dst, 0o755); err != nil {
+		return err
+	}
+	for _, name := range storeFiles(src) {
+		to := filepath.Join(dst, name)
+		if _, err := os.Stat(to); err == nil {
+			return fmt.Errorf("durable: %s exists in both %s and %s", name, src, dst)
+		}
+		if err := faultfs.Check(inj, faultfs.OpRename, to); err != nil {
+			return err
+		}
+		if err := os.Rename(filepath.Join(src, name), to); err != nil {
+			return err
+		}
+	}
+	if err := wal.SyncDir(inj, dst); err != nil {
+		return err
+	}
+	return wal.SyncDir(inj, src)
+}
+
+// WriteFileJSON atomically replaces path with v's JSON encoding (tmp
+// file, fdatasync, rename, directory fsync), consulting inj before each
+// step — for metadata that lives beside a store, such as a sharded
+// layout's manifest.
+func WriteFileJSON(inj faultfs.Injector, path string, v any) error {
+	return writeFileSync(inj, path, func(f *os.File) error { return json.NewEncoder(f).Encode(v) })
 }
 
 // maxRecordSize mirrors the WAL's frame bound; checked before a sequence
@@ -1032,12 +1076,5 @@ func writeFileSync(inj faultfs.Injector, path string, fill func(*os.File) error)
 		os.Remove(tmp)
 		return err
 	}
-	if err := faultfs.Check(inj, faultfs.OpDirSync, filepath.Dir(path)); err != nil {
-		return err
-	}
-	if d, err := os.Open(filepath.Dir(path)); err == nil {
-		_ = d.Sync()
-		d.Close()
-	}
-	return nil
+	return wal.SyncDir(inj, filepath.Dir(path))
 }

@@ -158,9 +158,7 @@ func TestRecoverRequiresDurableStore(t *testing.T) {
 }
 
 func TestBodyCap(t *testing.T) {
-	_, store := newTestServer(t)
-	ts := httptest.NewServer(NewHandlerWithOptions(store, Options{MaxBodyBytes: 256}))
-	t.Cleanup(ts.Close)
+	ts, _ := serveStore(t, smallStore(t), Options{MaxBodyBytes: 256})
 	big := map[string]interface{}{
 		"creator": "u", "date": "2026-08-08",
 		"body": strings.Repeat("x", 4096),

@@ -14,10 +14,13 @@
 //	propagation:     GET/POST /api/rules, DELETE /api/rules/{id},
 //	                 GET /api/provenance/{id}
 //
-// Served over a durable store (NewDurableHandler), mutations are
-// write-ahead logged before they are acknowledged, /api/stats grows a
-// "durability" section (WAL and compaction counters), and /api/restore
-// checkpoints the restored state immediately.
+// Every handler serves one shard.Store (NewShardedHandler): in memory
+// from shard.New, or durable from shard.Open, at any shard count
+// including 1. Mutations route to their home shard and, when durable,
+// are write-ahead logged before they are acknowledged; /api/stats
+// reports each shard's WAL and compaction counters under
+// sharding.durability[k], and /api/restore checkpoints the restored
+// state immediately.
 //
 // Operational endpoints: GET /healthz (liveness — always 200 while the
 // process serves) and GET /readyz (readiness — 503 + Retry-After while
@@ -36,7 +39,6 @@ import (
 	"log/slog"
 	"net/http"
 	"strconv"
-	"sync"
 	"time"
 
 	"graphitti/internal/core"
@@ -97,27 +99,10 @@ const (
 // run recovery, short enough that clients re-probe promptly.
 const retryAfterSeconds = "10"
 
-// NewHandler returns an http.Handler serving the API for one in-memory
-// store. Writes do not survive a restart; see NewDurableHandler.
-func NewHandler(s *core.Store) http.Handler {
-	return NewHandlerWithOptions(s, Options{})
-}
-
-// NewHandlerWithOptions is NewHandler with explicit options.
-func NewHandlerWithOptions(s *core.Store, opts Options) http.Handler {
-	return newMux(&server{store: s, proc: query.NewProcessor(s), opts: opts})
-}
-
-// NewDurableHandler serves a durable store: every mutating endpoint is
-// logged-then-acknowledged through d, reads go to the wrapped store.
+// NewDurableHandler serves an already-open durable store as a one-shard
+// shard.Store (see shard.Wrap).
 func NewDurableHandler(d *durable.Store) http.Handler {
-	return NewDurableHandlerWithOptions(d, Options{})
-}
-
-// NewDurableHandlerWithOptions is NewDurableHandler with explicit options.
-func NewDurableHandlerWithOptions(d *durable.Store, opts Options) http.Handler {
-	s := d.Core()
-	return newMux(&server{store: s, proc: query.NewProcessor(s), durable: d, opts: opts})
+	return NewShardedHandler(shard.Wrap(d))
 }
 
 // NewShardedHandler serves a sharded store (in-memory or durable): every
@@ -181,70 +166,9 @@ func newMux(api *server) http.Handler {
 }
 
 type server struct {
-	// mu guards store/proc, which /api/restore swaps wholesale; handlers
-	// snapshot both via view(). durable and sh are set once and never
-	// change; in sharded mode store/proc/durable stay nil (the shard
-	// store swaps its pipelines internally).
-	mu      sync.RWMutex
-	store   *core.Store
-	proc    *query.Processor
-	durable *durable.Store
-	sh      *shard.Store
-	opts    Options
-	tracer  *trace.Tracer
-}
-
-// backend is the read-and-mark surface the handlers share between one
-// core store and a sharded deployment. Mutations go through the *Op
-// helpers, which pick the WAL/router path.
-type backend interface {
-	Stats() core.Stats
-	Epoch() uint64
-	Annotation(uint64) (*core.Annotation, error)
-	Annotations() []*core.Annotation
-	SearchKeyword(string, bool) []*core.Annotation
-	SearchContentsCtx(context.Context, string) ([]*core.Annotation, error)
-	RelatedAnnotations(uint64) ([]*core.Annotation, error)
-	CorrelatedData(uint64) ([]core.CorrelatedItem, error)
-	ReferentsAt(string, int64) []*core.Referent
-	ObjectList() []core.ObjectHandle
-	NewAnnotation() *core.Builder
-	DerivedFrom(uint64) []core.DerivedFact
-	DerivedOnto(uint64) ([]core.DerivedFact, error)
-	DerivedSourceEpoch(uint64) uint64
-	MarkDomainInterval(string, interval.Interval) (*core.Referent, error)
-	MarkSequenceInterval(string, interval.Interval) (*core.Referent, error)
-	MarkImageRegion(string, rtree.Rect) (*core.Referent, error)
-	MarkClade(string, ...string) (*core.Referent, error)
-	MarkSubgraph(string, ...string) (*core.Referent, error)
-	MarkAlignmentBlock(string, []string, interval.Interval) (*core.Referent, error)
-	MarkObject(core.ObjectType, string) (*core.Referent, error)
-}
-
-// coreBackend adapts *core.Store to backend: the handful of reads the
-// handlers used to reach through a pinned View become store-level calls.
-type coreBackend struct{ *core.Store }
-
-func (b coreBackend) Epoch() uint64 { return b.Store.View().Epoch() }
-func (b coreBackend) SearchContentsCtx(ctx context.Context, expr string) ([]*core.Annotation, error) {
-	return b.Store.View().SearchContentsCtx(ctx, expr)
-}
-func (b coreBackend) DerivedOnto(id uint64) ([]core.DerivedFact, error) {
-	return b.Store.View().DerivedOnto(id)
-}
-func (b coreBackend) DerivedSourceEpoch(id uint64) uint64 {
-	return b.Store.View().DerivedSourceEpoch(id)
-}
-
-// view returns the current backend and query processor (nil processor in
-// sharded mode: runQuery fans out through the shard store instead).
-func (s *server) view() (backend, *query.Processor) {
-	if s.sh != nil {
-		return s.sh, nil
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return coreBackend{s.store}, s.proc
+	sh     *shard.Store
+	opts   Options
+	tracer *trace.Tracer
 }
 
 // queryCtx derives the execution context of a search/query request: the
@@ -263,9 +187,9 @@ type errorBody struct {
 	// the X-Request-Id response header), so a client-reported failure can
 	// be matched to its server log line.
 	RequestID string `json:"requestId,omitempty"`
-	// Shard names the pipeline that refused a sharded-mode mutation
-	// (e.g. the degraded shard behind a 503), so operators can recover
-	// that shard while the rest keep writing.
+	// Shard names the pipeline that refused a mutation (e.g. the
+	// degraded shard behind a 503), so operators can recover that shard
+	// while the rest keep writing.
 	Shard *int `json:"shard,omitempty"`
 }
 
@@ -331,38 +255,18 @@ type healthView struct {
 	Reads  bool   `json:"reads"`
 	Writes bool   `json:"writes"`
 	Reason string `json:"reason,omitempty"`
-	// DegradedShards lists the pipelines refusing writes in sharded mode.
+	// DegradedShards lists the pipelines refusing writes.
 	// Writes routed to any other shard still succeed, so partial
 	// degradation keeps Reads true and most writes flowing even while
 	// /readyz reports 503.
 	DegradedShards []int `json:"degradedShards,omitempty"`
 }
 
-func (s *server) health() healthView {
-	if s.sh != nil {
-		return s.shardedHealth()
-	}
-	if s.durable == nil {
-		// In-memory mode has no disk to fail.
-		return healthView{Status: "ok", State: durable.StateHealthy.String(), Reads: true, Writes: true}
-	}
-	h := s.durable.Health()
-	v := healthView{State: h.State.String(), Reason: h.Reason}
-	switch h.State {
-	case durable.StateHealthy:
-		v.Status, v.Reads, v.Writes = "ok", true, true
-	case durable.StateDegraded:
-		v.Status, v.Reads = "degraded", true
-	case durable.StateClosed:
-		v.Status = "closed"
-	}
-	return v
-}
-
-// shardedHealth folds the per-shard states: any degraded shard flips
+// health folds the per-shard states: any degraded shard flips
 // readiness (Writes false → /readyz 503) and is named in the reason,
 // but reads — and writes routed to healthy shards — keep working.
-func (s *server) shardedHealth() healthView {
+// In-memory shards have no disk to fail and always report healthy.
+func (s *server) health() healthView {
 	v := healthView{Status: "ok", State: durable.StateHealthy.String(), Reads: true, Writes: true}
 	for _, h := range s.sh.Health() {
 		if h.State == durable.StateHealthy {
@@ -406,36 +310,12 @@ func (s *server) readyz(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusServiceUnavailable, v)
 }
 
-// recoverStore runs the durable store's explicit recovery path —
-// re-validating the data directory and probing the log — and on success
-// swaps the reloaded core in, exactly as restore does.
+// recoverStore runs the durable recovery path — re-validating the data
+// directory and probing the log — for one shard (?shard=k) or every
+// degraded shard. Each shard recovers independently; the first failure
+// is reported with its shard ID and a Retry-After, like any
+// degraded-shard write.
 func (s *server) recoverStore(w http.ResponseWriter, r *http.Request) {
-	if s.sh != nil {
-		s.recoverShards(w, r)
-		return
-	}
-	if s.durable == nil {
-		jsonError(w, r, http.StatusBadRequest, "recover requires a durable store (-data-dir)")
-		return
-	}
-	s.mu.Lock()
-	store, err := s.durable.Reopen()
-	if err != nil {
-		s.mu.Unlock()
-		w.Header().Set("Retry-After", retryAfterSeconds)
-		jsonError(w, r, http.StatusServiceUnavailable, err.Error())
-		return
-	}
-	s.store = store
-	s.proc = query.NewProcessor(store)
-	s.mu.Unlock()
-	writeJSON(w, http.StatusOK, s.health())
-}
-
-// recoverShards reopens one shard (?shard=k) or every degraded shard.
-// Each shard recovers independently; the first failure is reported with
-// its shard ID and a Retry-After, like any degraded-shard write.
-func (s *server) recoverShards(w http.ResponseWriter, r *http.Request) {
 	if !s.sh.Durable() {
 		jsonError(w, r, http.StatusBadRequest, "recover requires a durable store (-data-dir)")
 		return
@@ -490,16 +370,15 @@ func (s *server) decodeJSON(w http.ResponseWriter, r *http.Request, v interface{
 }
 
 // statsView is the /api/stats payload: the store's component sizes plus
-// the published view epoch and, in durable mode, the durability counters.
+// the published view epoch and the sharding section.
 type statsView struct {
 	core.Stats
-	Epoch      uint64         `json:"epoch"`
-	Durability *durable.Stats `json:"durability,omitempty"`
-	Sharding   *shardingView  `json:"sharding,omitempty"`
+	Epoch    uint64        `json:"epoch"`
+	Sharding *shardingView `json:"sharding"`
 }
 
-// shardingView is the sharded-mode /api/stats section: the shard count,
-// the inter-shard channel counters, and (durable mode) each shard's
+// shardingView is the /api/stats sharding section: the shard count, the
+// inter-shard channel counters, and (durable mode) each shard's
 // durability stats indexed by shard.
 type shardingView struct {
 	Shards            int             `json:"shards"`
@@ -513,22 +392,17 @@ type shardingView struct {
 }
 
 func (s *server) stats(w http.ResponseWriter, _ *http.Request) {
-	store, _ := s.view()
-	out := statsView{Stats: store.Stats(), Epoch: store.Epoch()}
-	if s.durable != nil {
-		ds := s.durable.Stats()
-		out.Durability = &ds
-	}
-	if s.sh != nil {
-		out.Sharding = &shardingView{
+	writeJSON(w, http.StatusOK, statsView{
+		Stats: s.sh.Stats(),
+		Epoch: s.sh.Epoch(),
+		Sharding: &shardingView{
 			Shards:            s.sh.NumShards(),
 			CrossShardCommits: s.sh.CrossShardCommits(),
 			DeltaSeq:          s.sh.DeltaSeq(),
 			Durability:        s.sh.DurabilityStats(),
 			Load:              s.sh.LoadStats(),
-		}
-	}
-	writeJSON(w, http.StatusOK, out)
+		},
+	})
 }
 
 // annotationView is the JSON projection of an annotation.
@@ -555,15 +429,14 @@ func viewOf(ann *core.Annotation) annotationView {
 }
 
 func (s *server) listAnnotations(w http.ResponseWriter, r *http.Request) {
-	store, _ := s.view()
 	keyword := r.URL.Query().Get("keyword")
 	var out []annotationView
 	if keyword != "" {
-		for _, ann := range store.SearchKeyword(keyword, true) {
+		for _, ann := range s.sh.SearchKeyword(keyword, true) {
 			out = append(out, viewOf(ann))
 		}
 	} else {
-		for _, ann := range store.Annotations() {
+		for _, ann := range s.sh.Annotations() {
 			out = append(out, viewOf(ann))
 		}
 	}
@@ -576,8 +449,7 @@ func (s *server) getAnnotation(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, r, err)
 		return
 	}
-	store, _ := s.view()
-	ann, err := store.Annotation(id)
+	ann, err := s.sh.Annotation(id)
 	if err != nil {
 		writeErr(w, r, err)
 		return
@@ -591,26 +463,11 @@ func (s *server) deleteAnnotation(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, r, err)
 		return
 	}
-	if err := s.deleteAnnotationOp(id); err != nil {
+	if err := s.sh.DeleteAnnotation(id); err != nil {
 		writeErr(w, r, err)
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)
-}
-
-// deleteAnnotationOp routes the mutation through the router/WAL when
-// present.
-func (s *server) deleteAnnotationOp(id uint64) error {
-	switch {
-	case s.sh != nil:
-		return s.sh.DeleteAnnotation(id)
-	case s.durable != nil:
-		return s.durable.DeleteAnnotation(id)
-	default:
-		s.mu.RLock()
-		defer s.mu.RUnlock()
-		return s.store.DeleteAnnotation(id)
-	}
 }
 
 // markSpec describes one referent in an annotation request.
@@ -646,10 +503,9 @@ func (s *server) createAnnotation(w http.ResponseWriter, r *http.Request) {
 	if !s.decodeJSON(w, r, &req) {
 		return
 	}
-	store, _ := s.view()
 	// The middleware's root span rides the builder down the commit path
 	// (router → shard writer → commit → propagation → WAL flush).
-	b := store.NewAnnotation().WithSpan(trace.FromContext(r.Context())).
+	b := s.sh.NewAnnotation().WithSpan(trace.FromContext(r.Context())).
 		Creator(req.Creator).Date(req.Date).Body(req.Body)
 	if req.Title != "" {
 		b.Title(req.Title)
@@ -658,7 +514,7 @@ func (s *server) createAnnotation(w http.ResponseWriter, r *http.Request) {
 		b.Tag(name, val)
 	}
 	for i, m := range req.Marks {
-		ref, err := resolveMark(store, m)
+		ref, err := resolveMark(s.sh, m)
 		if err != nil {
 			writeErr(w, r, fmt.Errorf("mark %d: %w", i, err))
 			return
@@ -668,7 +524,7 @@ func (s *server) createAnnotation(w http.ResponseWriter, r *http.Request) {
 	for _, tr := range req.Terms {
 		b.OntologyRef(tr.Ontology, tr.TermID)
 	}
-	ann, err := s.commitOp(b)
+	ann, err := s.sh.Commit(b)
 	if err != nil {
 		writeErr(w, r, err)
 		return
@@ -676,42 +532,28 @@ func (s *server) createAnnotation(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusCreated, viewOf(ann))
 }
 
-// commitOp routes the commit through the router/WAL when present.
-func (s *server) commitOp(b *core.Builder) (*core.Annotation, error) {
-	switch {
-	case s.sh != nil:
-		return s.sh.Commit(b)
-	case s.durable != nil:
-		return s.durable.Commit(b)
-	default:
-		s.mu.RLock()
-		defer s.mu.RUnlock()
-		return s.store.Commit(b)
-	}
-}
-
 // resolveMark builds a referent from a mark spec (read-only: marks are
 // only registered at commit).
-func resolveMark(store backend, m markSpec) (*core.Referent, error) {
+func resolveMark(sh *shard.Store, m markSpec) (*core.Referent, error) {
 	switch m.Type {
 	case "interval":
-		return store.MarkDomainInterval(m.Domain, interval.Interval{Lo: m.Lo, Hi: m.Hi})
+		return sh.MarkDomainInterval(m.Domain, interval.Interval{Lo: m.Lo, Hi: m.Hi})
 	case "sequence":
-		return store.MarkSequenceInterval(m.SeqID, interval.Interval{Lo: m.Lo, Hi: m.Hi})
+		return sh.MarkSequenceInterval(m.SeqID, interval.Interval{Lo: m.Lo, Hi: m.Hi})
 	case "region":
 		rect, err := rectOf(m.Rect)
 		if err != nil {
 			return nil, err
 		}
-		return store.MarkImageRegion(m.ImageID, rect)
+		return sh.MarkImageRegion(m.ImageID, rect)
 	case "clade":
-		return store.MarkClade(m.ObjectID, m.Keys...)
+		return sh.MarkClade(m.ObjectID, m.Keys...)
 	case "subgraph":
-		return store.MarkSubgraph(m.ObjectID, m.Keys...)
+		return sh.MarkSubgraph(m.ObjectID, m.Keys...)
 	case "block":
-		return store.MarkAlignmentBlock(m.ObjectID, m.Keys, interval.Interval{Lo: m.Lo, Hi: m.Hi})
+		return sh.MarkAlignmentBlock(m.ObjectID, m.Keys, interval.Interval{Lo: m.Lo, Hi: m.Hi})
 	case "object":
-		return store.MarkObject(core.ObjectType(m.ObjectType), m.ObjectID)
+		return sh.MarkObject(core.ObjectType(m.ObjectType), m.ObjectID)
 	default:
 		return nil, fmt.Errorf("%w: unknown mark type %q", core.ErrBadMark, m.Type)
 	}
@@ -735,8 +577,7 @@ func (s *server) related(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, r, err)
 		return
 	}
-	store, _ := s.view()
-	rel, err := store.RelatedAnnotations(id)
+	rel, err := s.sh.RelatedAnnotations(id)
 	if err != nil {
 		writeErr(w, r, err)
 		return
@@ -754,8 +595,7 @@ func (s *server) correlated(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, r, err)
 		return
 	}
-	store, _ := s.view()
-	items, err := store.CorrelatedData(id)
+	items, err := s.sh.CorrelatedData(id)
 	if err != nil {
 		writeErr(w, r, err)
 		return
@@ -787,10 +627,9 @@ func (s *server) search(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := s.queryCtx(r)
 	defer cancel()
-	store, _ := s.view()
 	// The whole scan runs against one pinned snapshot per shard,
 	// cancellable at every evaluation stride.
-	anns, err := store.SearchContentsCtx(ctx, req.Expr)
+	anns, err := s.sh.SearchContentsCtx(ctx, req.Expr)
 	if err != nil {
 		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
 			writeErr(w, r, err)
@@ -846,14 +685,7 @@ func (s *server) runQuery(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	opts := query.DefaultOptions
 	opts.MaxResults = req.MaxResults
-	var res *query.Result
-	var err error
-	if s.sh != nil {
-		res, err = s.sh.Query(ctx, req.Query, opts)
-	} else {
-		_, proc := s.view()
-		res, err = proc.ExecuteCtx(ctx, req.Query, opts)
-	}
+	res, err := s.sh.Query(ctx, req.Query, opts)
 	if err != nil {
 		writeErr(w, r, err)
 		return
@@ -896,8 +728,7 @@ func (s *server) referents(w http.ResponseWriter, r *http.Request) {
 		jsonError(w, r, http.StatusBadRequest, "pos parameter required")
 		return
 	}
-	store, _ := s.view()
-	refs := store.ReferentsAt(domain, pos)
+	refs := s.sh.ReferentsAt(domain, pos)
 	out := make([]string, 0, len(refs))
 	for _, ref := range refs {
 		out = append(out, ref.String())
@@ -912,9 +743,8 @@ func (s *server) objects(w http.ResponseWriter, r *http.Request) {
 		Type string `json:"type"`
 		ID   string `json:"id"`
 	}
-	store, _ := s.view()
 	out := []objectView{}
-	for _, h := range store.ObjectList() {
+	for _, h := range s.sh.ObjectList() {
 		if typeFilter != "" && string(h.Type) != typeFilter {
 			continue
 		}
@@ -924,18 +754,10 @@ func (s *server) objects(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *server) snapshot(w http.ResponseWriter, _ *http.Request) {
-	var err error
 	w.Header().Set("Content-Type", "application/json")
-	if s.sh != nil {
-		var snap *persist.Snapshot
-		if snap, err = s.sh.Export(); err == nil {
-			err = persist.WriteSnapshot(snap, w)
-		}
-	} else {
-		s.mu.RLock()
-		store := s.store
-		s.mu.RUnlock()
-		err = persist.Write(store, w)
+	snap, err := s.sh.Export()
+	if err == nil {
+		err = persist.WriteSnapshot(snap, w)
 	}
 	if err != nil {
 		// Headers are gone; best effort.
@@ -944,9 +766,11 @@ func (s *server) snapshot(w http.ResponseWriter, _ *http.Request) {
 }
 
 // restore loads a persist snapshot (the body is what GET /api/snapshot
-// produces) into a fresh store and swaps it in. In durable mode the
-// restored state is checkpointed (snapshot + empty WAL) before the
-// request is acknowledged; the previous state is discarded either way.
+// produces) and swaps it in: the shard store partitions the snapshot and
+// swaps its pipelines internally, under the inter-shard channel. In
+// durable mode the restored state is checkpointed (snapshot + empty WAL)
+// before the request is acknowledged; the previous state is discarded
+// either way.
 func (s *server) restore(w http.ResponseWriter, r *http.Request) {
 	limit := s.opts.MaxRestoreBytes
 	if limit <= 0 {
@@ -971,42 +795,14 @@ func (s *server) restore(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, r, err)
 		return
 	}
-	if s.sh != nil {
-		// The shard store partitions the snapshot and swaps its
-		// pipelines internally, under the inter-shard channel.
-		if err := s.sh.Restore(snap); err != nil {
-			if errors.Is(err, durable.ErrDegraded) {
-				writeErr(w, r, err) // 503 + Retry-After, shard named
-				return
-			}
-			jsonError(w, r, http.StatusBadRequest, err.Error())
-			return
-		}
-		s.stats(w, r)
-		return
-	}
-	// The durable restore and the handler's store swap happen under one
-	// critical section: were they separate, two concurrent restores could
-	// interleave so s.store diverges from durable.Core() permanently.
-	s.mu.Lock()
-	var store *core.Store
-	if s.durable != nil {
-		store, err = s.durable.Restore(snap)
-	} else {
-		store, err = persist.Load(snap)
-	}
-	if err != nil {
-		s.mu.Unlock()
+	if err := s.sh.Restore(snap); err != nil {
 		if errors.Is(err, durable.ErrDegraded) {
-			writeErr(w, r, err) // 503 + Retry-After, like any degraded write
+			writeErr(w, r, err) // 503 + Retry-After, shard named
 			return
 		}
 		jsonError(w, r, http.StatusBadRequest, err.Error())
 		return
 	}
-	s.store = store
-	s.proc = query.NewProcessor(store)
-	s.mu.Unlock()
 	s.stats(w, r)
 }
 
@@ -1036,15 +832,7 @@ func factViews(facts []core.DerivedFact) []factView {
 }
 
 func (s *server) listRules(w http.ResponseWriter, _ *http.Request) {
-	var rules []prop.Rule
-	if s.sh != nil {
-		rules = s.sh.Rules()
-	} else {
-		s.mu.RLock()
-		store := s.store
-		s.mu.RUnlock()
-		rules = prop.RulesOf(store)
-	}
+	rules := s.sh.Rules()
 	if rules == nil {
 		rules = []prop.Rule{}
 	}
@@ -1056,48 +844,20 @@ func (s *server) addRule(w http.ResponseWriter, r *http.Request) {
 	if !s.decodeJSON(w, r, &rule) {
 		return
 	}
-	if err := s.addRuleOp(rule); err != nil {
+	if err := s.sh.AddRule(rule); err != nil {
 		writeErr(w, r, err)
 		return
 	}
 	writeJSON(w, http.StatusCreated, rule)
 }
 
-// addRuleOp routes the mutation through the router/WAL when present
-// (sharded mode broadcasts the rule to every shard).
-func (s *server) addRuleOp(rule prop.Rule) error {
-	switch {
-	case s.sh != nil:
-		return s.sh.AddRule(rule)
-	case s.durable != nil:
-		return s.durable.AddRule(rule)
-	default:
-		s.mu.RLock()
-		defer s.mu.RUnlock()
-		return prop.Attach(s.store).AddRule(rule)
-	}
-}
-
 func (s *server) deleteRule(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	if err := s.deleteRuleOp(id); err != nil {
+	if err := s.sh.DeleteRule(id); err != nil {
 		writeErr(w, r, err)
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)
-}
-
-func (s *server) deleteRuleOp(id string) error {
-	switch {
-	case s.sh != nil:
-		return s.sh.DeleteRule(id)
-	case s.durable != nil:
-		return s.durable.DeleteRule(id)
-	default:
-		s.mu.RLock()
-		defer s.mu.RUnlock()
-		return prop.Attach(s.store).DeleteRule(id)
-	}
 }
 
 // provenance traces derived annotations through one annotation: the
@@ -1109,8 +869,7 @@ func (s *server) provenance(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, r, err)
 		return
 	}
-	store, _ := s.view()
-	onto, err := store.DerivedOnto(id)
+	onto, err := s.sh.DerivedOnto(id)
 	if err != nil {
 		writeErr(w, r, err)
 		return
@@ -1123,8 +882,8 @@ func (s *server) provenance(w http.ResponseWriter, r *http.Request) {
 	}
 	writeJSON(w, http.StatusOK, provenanceView{
 		ID:         id,
-		Epoch:      store.DerivedSourceEpoch(id),
-		Derives:    factViews(store.DerivedFrom(id)),
+		Epoch:      s.sh.DerivedSourceEpoch(id),
+		Derives:    factViews(s.sh.DerivedFrom(id)),
 		Provenance: factViews(onto),
 	})
 }

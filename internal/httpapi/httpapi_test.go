@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -12,10 +13,11 @@ import (
 	"graphitti/internal/core"
 	"graphitti/internal/interval"
 	"graphitti/internal/persist"
+	"graphitti/internal/shard"
 	"graphitti/internal/workload"
 )
 
-func newTestServer(t *testing.T) (*httptest.Server, *core.Store) {
+func newTestServer(t *testing.T) (*httptest.Server, *shard.Store) {
 	t.Helper()
 	cfg := workload.DefaultInfluenza
 	cfg.Annotations = 30
@@ -23,9 +25,24 @@ func newTestServer(t *testing.T) (*httptest.Server, *core.Store) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(NewHandler(study.Store))
+	return serveStore(t, study.Store, Options{})
+}
+
+// serveStore serves a copy of cs from a one-shard in-memory store and
+// returns the server with the store behind it.
+func serveStore(t *testing.T, cs *core.Store, opts Options) (*httptest.Server, *shard.Store) {
+	t.Helper()
+	snap, err := persist.Export(cs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh := shard.New(1)
+	if err := sh.Restore(snap); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(NewShardedHandlerWithOptions(sh, opts))
 	t.Cleanup(ts.Close)
-	return ts, study.Store
+	return ts, sh
 }
 
 func getJSON(t *testing.T, url string, out interface{}) int {
@@ -148,6 +165,7 @@ func TestCreateAndDeleteAnnotation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNoContent {
 		t.Fatalf("delete status = %d", resp.StatusCode)

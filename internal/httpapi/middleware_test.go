@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
-	"net/http/httptest"
 	"regexp"
 	"strconv"
 	"strings"
@@ -107,6 +106,10 @@ func TestMiddlewareRouteConformance(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s %s: %v", tgt.method, tgt.path, err)
 		}
+		// Read to EOF before sampling: a body past the response buffer
+		// streams, and its last chunk is sent only after the handler —
+		// and the middleware recording the request — has returned.
+		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
 		after, afterDur := routeMetricSnapshot(t)
 
@@ -211,6 +214,7 @@ func TestMetricsEndpointValidExposition(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
 	}
 
@@ -272,8 +276,7 @@ func TestPprofGating(t *testing.T) {
 		t.Fatalf("pprof reachable without -pprof: %d", resp.StatusCode)
 	}
 
-	on := httptest.NewServer(NewHandlerWithOptions(smallStore(t), Options{EnablePprof: true}))
-	t.Cleanup(on.Close)
+	on, _ := serveStore(t, smallStore(t), Options{EnablePprof: true})
 	resp, err = http.Get(on.URL + "/debug/pprof/cmdline")
 	if err != nil {
 		t.Fatal(err)

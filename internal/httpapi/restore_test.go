@@ -37,7 +37,8 @@ func fetch(t *testing.T, method, url string, body []byte) (int, []byte) {
 const parityQuery = `{"query":"select contents where { ?a isa annotation ; contains \"protease\" . }"}`
 
 // stripEpoch decodes a /api/stats body and drops the per-process view
-// epoch so stats comparisons cover only logical state.
+// epoch and sharding counters (inter-shard sequence, writer load) so
+// stats comparisons cover only logical state.
 func stripEpoch(t *testing.T, body []byte) map[string]any {
 	t.Helper()
 	var m map[string]any
@@ -45,6 +46,7 @@ func stripEpoch(t *testing.T, body []byte) map[string]any {
 		t.Fatalf("decoding stats %s: %v", body, err)
 	}
 	delete(m, "epoch")
+	delete(m, "sharding")
 	return m
 }
 
@@ -64,8 +66,7 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dst := httptest.NewServer(NewHandler(other.Store))
-	t.Cleanup(dst.Close)
+	dst, _ := serveStore(t, other.Store, Options{})
 
 	code, wantStats := fetch(t, "GET", src.URL+"/api/stats", nil)
 	if code != 200 {
@@ -134,16 +135,18 @@ func TestDurableHandler(t *testing.T) {
 
 	var stats struct {
 		core.Stats
-		Durability *durable.Stats `json:"durability"`
+		Sharding struct {
+			Durability []durable.Stats `json:"durability"`
+		} `json:"sharding"`
 	}
 	if code := getJSON(t, ts.URL+"/api/stats", &stats); code != 200 {
 		t.Fatal("stats failed")
 	}
-	if stats.Durability == nil {
-		t.Fatal("durable stats missing from /api/stats")
+	if len(stats.Sharding.Durability) != 1 {
+		t.Fatalf("durable stats missing from /api/stats: %+v", stats.Sharding)
 	}
-	if stats.Durability.SnapshotSeq == 0 {
-		t.Fatalf("restore did not checkpoint: %+v", stats.Durability)
+	if ds := stats.Sharding.Durability[0]; ds.SnapshotSeq == 0 {
+		t.Fatalf("restore did not checkpoint: %+v", ds)
 	}
 
 	// A mutation through the API must reach the log.

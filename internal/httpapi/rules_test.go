@@ -2,6 +2,7 @@ package httpapi
 
 import (
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -12,6 +13,7 @@ import (
 	"graphitti/internal/durable"
 	"graphitti/internal/interval"
 	"graphitti/internal/prop"
+	"graphitti/internal/shard"
 )
 
 // newPropStore builds a store with two overlapping interval annotations
@@ -49,14 +51,13 @@ func doDelete(t *testing.T, url string) int {
 	if err != nil {
 		t.Fatal(err)
 	}
+	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
 	return resp.StatusCode
 }
 
 func TestRuleCRUDAndProvenance(t *testing.T) {
-	s := newPropStore(t)
-	ts := httptest.NewServer(NewHandler(s))
-	defer ts.Close()
+	ts, _ := serveStore(t, newPropStore(t), Options{})
 
 	var rules []prop.Rule
 	if code := getJSON(t, ts.URL+"/api/rules", &rules); code != http.StatusOK || len(rules) != 0 {
@@ -115,7 +116,7 @@ func TestRuleCRUDAndProvenance(t *testing.T) {
 // handler are WAL-logged and the derived table is rebuilt on reopen.
 func TestDurableRuleSurvivesReopen(t *testing.T) {
 	dir := t.TempDir()
-	d, err := durable.Open(dir, durable.Options{})
+	d, err := shard.Open(dir, 1, durable.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +128,7 @@ func TestDurableRuleSurvivesReopen(t *testing.T) {
 	if err := d.RegisterSequence(sq); err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(NewDurableHandler(d))
+	ts := httptest.NewServer(NewShardedHandler(d))
 	rule := prop.Rule{ID: "ov", Edge: prop.EdgeOverlap, Domain: "chr1"}
 	if code := postJSON(t, ts.URL+"/api/rules", rule, nil); code != http.StatusCreated {
 		t.Fatalf("add rule: %d", code)
@@ -146,12 +147,12 @@ func TestDurableRuleSurvivesReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	d2, err := durable.Open(dir, durable.Options{})
+	d2, err := shard.Open(dir, 0, durable.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer d2.Close()
-	ts2 := httptest.NewServer(NewDurableHandler(d2))
+	ts2 := httptest.NewServer(NewShardedHandler(d2))
 	defer ts2.Close()
 	var rules []prop.Rule
 	if code := getJSON(t, ts2.URL+"/api/rules", &rules); code != http.StatusOK || len(rules) != 1 {

@@ -22,8 +22,7 @@ func newTimeoutServer(t *testing.T) *httptest.Server {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(NewHandlerWithOptions(study.Store, Options{QueryTimeout: time.Nanosecond}))
-	t.Cleanup(ts.Close)
+	ts, _ := serveStore(t, study.Store, Options{QueryTimeout: time.Nanosecond})
 	return ts
 }
 

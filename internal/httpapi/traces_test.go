@@ -45,12 +45,20 @@ func doTraced(t *testing.T, rawURL string, body interface{}) (*http.Response, tr
 }
 
 // TestTracedCommitShardedDurable is the acceptance path: a ?trace=1
-// commit against a 4-shard durable store with a propagation rule
-// installed returns a span tree covering the whole pipeline — HTTP root,
-// router dispatch, shard writer, commit critical section, propagation
-// delta, WAL group-commit flush.
+// commit against a durable store with a propagation rule installed
+// returns a span tree covering the whole pipeline — HTTP root, router
+// dispatch, shard writer, commit critical section, propagation delta,
+// WAL group-commit flush — at one shard (every server's default) and
+// at four.
 func TestTracedCommitShardedDurable(t *testing.T) {
-	const shards = 4
+	for _, tc := range []struct{ shards, home int }{{1, 0}, {4, 2}} {
+		t.Run(fmt.Sprintf("shards=%d", tc.shards), func(t *testing.T) {
+			testTracedCommit(t, tc.shards, tc.home)
+		})
+	}
+}
+
+func testTracedCommit(t *testing.T, shards, home int) {
 	sh, err := shard.Open(t.TempDir(), shards, durable.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -59,7 +67,7 @@ func TestTracedCommitShardedDurable(t *testing.T) {
 	ts := httptest.NewServer(NewShardedHandler(sh))
 	defer ts.Close()
 
-	domain := keyOnShard(t, shards, 2, "chr")
+	domain := keyOnShard(t, shards, home, "chr")
 	registerDomainSeq(t, sh, domain)
 	if err := sh.AddRule(prop.Rule{ID: "ov", Edge: prop.EdgeOverlap, Domain: domain}); err != nil {
 		t.Fatal(err)
@@ -118,17 +126,17 @@ func TestTracedCommitShardedDurable(t *testing.T) {
 	// The writer span is tagged with the routed shard; the flush span
 	// carries that shard's batch ID.
 	writer := findSpan(env.Trace, "shard.writer")
-	if writer == nil || writer.Shard == nil || *writer.Shard != 2 {
-		t.Fatalf("shard.writer span not tagged with home shard 2: %s", raw)
+	if writer == nil || writer.Shard == nil || *writer.Shard != home {
+		t.Fatalf("shard.writer span not tagged with home shard %d: %s", home, raw)
 	}
 	flush := findSpan(env.Trace, "wal.flush")
-	if flush == nil || !strings.HasPrefix(flush.Attrs["batch"], "2#") {
-		t.Fatalf("wal.flush span has no shard-2 batch ID: %s", raw)
+	if flush == nil || !strings.HasPrefix(flush.Attrs["batch"], fmt.Sprintf("%d#", home)) {
+		t.Fatalf("wal.flush span has no shard-%d batch ID: %s", home, raw)
 	}
 
 	// The forced trace is retrievable from the ring, and the filters
 	// narrow to it.
-	assertDebugTraces(t, ts.URL, env.Trace.TraceID, 2)
+	assertDebugTraces(t, ts.URL, env.Trace.TraceID, home)
 }
 
 // mustJSON marshals v or fails the test.
@@ -209,8 +217,7 @@ func assertDebugTraces(t *testing.T, base, traceID string, homeShard int) {
 // handlers write their bodies directly — echoes X-Request-Id and a
 // traceparent.
 func TestRequestIDEchoAllRoutes(t *testing.T) {
-	ts := httptest.NewServer(NewHandlerWithOptions(smallStore(t), Options{EnablePprof: true}))
-	defer ts.Close()
+	ts, _ := serveStore(t, smallStore(t), Options{EnablePprof: true})
 	for _, path := range []string{
 		"/metrics", "/debug/vars", "/debug/traces", "/debug/pprof/",
 		"/api/stats", "/no/such/route",
@@ -343,11 +350,10 @@ func (b *syncBuffer) String() string {
 // the threshold gets a structured line with the span breakdown.
 func TestSlowRequestLogged(t *testing.T) {
 	var logs syncBuffer
-	ts := httptest.NewServer(NewHandlerWithOptions(smallStore(t), Options{
+	ts, _ := serveStore(t, smallStore(t), Options{
 		SlowRequest: time.Nanosecond,
 		Logger:      slog.New(slog.NewTextHandler(&logs, nil)),
-	}))
-	defer ts.Close()
+	})
 
 	resp, _ := doJSON(t, "GET", ts.URL+"/api/stats", nil)
 	if resp.StatusCode != http.StatusOK {
@@ -370,10 +376,7 @@ func TestSlowRequestLogged(t *testing.T) {
 // TestTraceSampling checks SampleEvery drops untraced requests from the
 // rings while ?trace=1 is always retained.
 func TestTraceSampling(t *testing.T) {
-	ts := httptest.NewServer(NewHandlerWithOptions(smallStore(t), Options{
-		TraceSampleEvery: 1000,
-	}))
-	defer ts.Close()
+	ts, _ := serveStore(t, smallStore(t), Options{TraceSampleEvery: 1000})
 
 	for i := 0; i < 5; i++ {
 		doJSON(t, "GET", ts.URL+"/api/stats", nil)

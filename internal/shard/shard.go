@@ -37,10 +37,11 @@
 //
 // Durability. Each shard owns a full durable pipeline (WAL segment,
 // snapshot chain, degradation state machine) under dir/shard-<k>/;
-// SHARDS.json at the root pins the shard count. Recovery replays all
-// shards in parallel. A degraded shard refuses its own writes — wrapped
-// in *Error so callers can name the shard — while healthy shards keep
-// accepting theirs.
+// SHARDS.json at the root pins the shard count, and a legacy unsharded
+// durable directory is adopted as shard 0 of a one-shard store (see
+// Open). Recovery replays all shards in parallel. A degraded shard
+// refuses its own writes — wrapped in *Error so callers can name the
+// shard — while healthy shards keep accepting theirs.
 package shard
 
 import (
@@ -138,8 +139,7 @@ func New(n int) *Store {
 	if n < 1 {
 		n = 1
 	}
-	s := &Store{router: core.Router{Shards: n}, ids: &core.AtomicIDs{},
-		smu: make([]sync.RWMutex, n), load: newLoadProfile(n)}
+	s := newStore(n)
 	s.cores = make([]atomic.Pointer[core.Store], n)
 	for k := 0; k < n; k++ {
 		s.cores[k].Store(core.NewStoreWithOptions(core.StoreOptions{
@@ -149,11 +149,32 @@ func New(n int) *Store {
 	return s
 }
 
+// Wrap serves an already-open durable store as the single shard of a
+// one-shard Store, for callers that opened the pipeline themselves.
+// Close closes d.
+func Wrap(d *durable.Store) *Store {
+	s := newStore(1)
+	s.durs = []*durable.Store{d}
+	return s
+}
+
+func newStore(n int) *Store {
+	return &Store{router: core.Router{Shards: n}, ids: &core.AtomicIDs{},
+		smu: make([]sync.RWMutex, n), load: newLoadProfile(n)}
+}
+
 // Open opens (or initialises) a durable sharded store under dir with n
 // shards, replaying all shard WALs in parallel. A directory that was
 // created with a different shard count refuses to open — routing keys
 // would land in the wrong segments; n = 0 adopts the directory's
 // recorded count (1 for a fresh directory).
+//
+// A legacy unsharded durable directory (top-level WAL, manifest and
+// checkpoints, no SHARDS.json) opens as shard 0 of a one-shard store:
+// Open first writes and fsyncs a manifest of 1, then renames the store
+// files into shard-0/. Any Open that finds a manifest of 1 beside
+// leftover top-level store files finishes such an interrupted move. A
+// legacy directory opened with n > 1 is refused and left untouched.
 func Open(dir string, n int, opts durable.Options) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
@@ -162,19 +183,23 @@ func Open(dir string, n int, opts durable.Options) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
+	legacy := durable.HasStore(dir)
 	switch {
 	case recorded == 0:
-		// No manifest: only a directory with no prior store state may be
-		// initialised sharded — anything else would silently ignore (and
-		// then fork) the data already there.
-		if err := checkDirFresh(dir); err != nil {
+		// No manifest: record the count before any shard writes, unless
+		// that would strand data already in the directory.
+		if legacy && n > 1 {
+			return nil, fmt.Errorf("shard: directory %s holds an unsharded durable store; open it with 1 shard to adopt it, then reshard via snapshot export/restore", dir)
+		}
+		if err := checkNoShardDirs(dir); err != nil {
 			return nil, err
 		}
-		// Record the count before any shard writes.
 		if n == 0 {
 			n = 1
 		}
-		if err := writeShardsFile(dir, n); err != nil {
+		// The manifest is what makes shard-<k>/ data discoverable, so it
+		// is fsynced before the first shard (or adopted file) lands.
+		if err := durable.WriteFileJSON(opts.Inject, filepath.Join(dir, shardsFile), shardsManifest{Shards: n}); err != nil {
 			return nil, err
 		}
 	case n == 0:
@@ -182,9 +207,13 @@ func Open(dir string, n int, opts durable.Options) (*Store, error) {
 	case n != recorded:
 		return nil, fmt.Errorf("shard: directory %s has %d shards, asked to open %d", dir, recorded, n)
 	}
+	if legacy && n == 1 {
+		if err := durable.MoveStore(dir, filepath.Join(dir, shardDir(0)), opts.Inject); err != nil {
+			return nil, fmt.Errorf("shard: adopt unsharded store in %s: %w", dir, err)
+		}
+	}
 
-	s := &Store{router: core.Router{Shards: n}, ids: &core.AtomicIDs{},
-		smu: make([]sync.RWMutex, n), load: newLoadProfile(n)}
+	s := newStore(n)
 	s.durs = make([]*durable.Store, n)
 	errs := make([]error, n)
 	var wg sync.WaitGroup
@@ -232,16 +261,10 @@ func readShardsFile(dir string) (int, error) {
 	return m.Shards, nil
 }
 
-// checkDirFresh refuses to lay a sharded store over a directory that
-// already holds state a manifest-less Open would otherwise silently
-// ignore: a legacy unsharded durable store (its WAL/snapshots would be
-// bypassed while shard-<k>/ dirs grow beside them), or shard-<k>/
-// subdirectories whose SHARDS.json was lost (re-pinning a guessed count
-// would hide or mis-route their data).
-func checkDirFresh(dir string) error {
-	if durable.HasStore(dir) {
-		return fmt.Errorf("shard: directory %s holds an unsharded durable store; open it without -shards, or migrate it via snapshot export/restore", dir)
-	}
+// checkNoShardDirs refuses to pin a shard count over shard-<k>/
+// subdirectories whose SHARDS.json was lost: re-pinning a guessed count
+// would hide or mis-route their data.
+func checkNoShardDirs(dir string) error {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return err
@@ -252,43 +275,6 @@ func checkDirFresh(dir string) error {
 		}
 	}
 	return nil
-}
-
-func writeShardsFile(dir string, n int) error {
-	data, err := json.Marshal(shardsManifest{Shards: n})
-	if err != nil {
-		return err
-	}
-	// tmp → fsync → rename → fsync(dir): the manifest is what makes
-	// shard-<k>/ data discoverable, so it must survive a crash as
-	// reliably as the data it names.
-	tmp := filepath.Join(dir, shardsFile+".tmp")
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err = f.Write(data); err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, filepath.Join(dir, shardsFile)); err != nil {
-		return err
-	}
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	err = d.Sync()
-	if cerr := d.Close(); err == nil {
-		err = cerr
-	}
-	return err
 }
 
 // advanceIDs raises the shared allocator past every ID any shard has

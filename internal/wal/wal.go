@@ -143,7 +143,7 @@ func Create(path string, opts Options) (*Writer, error) {
 			f.Close()
 			return nil, err
 		}
-		if err := syncDir(opts.Inject, filepath.Dir(path)); err != nil {
+		if err := SyncDir(opts.Inject, filepath.Dir(path)); err != nil {
 			f.Close()
 			return nil, err
 		}
@@ -151,8 +151,9 @@ func Create(path string, opts Options) (*Writer, error) {
 	return newWriter(f, HeaderSize, opts), nil
 }
 
-// syncDir fsyncs a directory so renames/creates within it are durable.
-func syncDir(inj faultfs.Injector, dir string) error {
+// SyncDir fsyncs a directory so renames/creates within it are durable,
+// consulting inj first.
+func SyncDir(inj faultfs.Injector, dir string) error {
 	if err := faultfs.Check(inj, faultfs.OpDirSync, dir); err != nil {
 		return err
 	}

@@ -1,7 +1,6 @@
 // Package-level robustness tests: every parser in the system must reject
-// malformed input with an error, never a panic. This is the failure
-// injection item of DESIGN.md §7, phrased as testing/quick properties over
-// random byte strings and mutated valid documents.
+// malformed input with an error, never a panic, phrased as testing/quick
+// properties over random byte strings and mutated valid documents.
 package workload
 
 import (

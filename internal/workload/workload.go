@@ -9,7 +9,7 @@
 // seeded synthetic equivalents that preserve the structural properties the
 // engine exercises — domain sharing, overlap distributions, ontology
 // fan-out, annotation density — which is what reproduction of the system's
-// behaviour depends on (see DESIGN.md §3).
+// behaviour depends on.
 package workload
 
 import (
