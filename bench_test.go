@@ -3,8 +3,10 @@
 // publishes no quantitative tables; the experiment set is the three
 // figures' scenarios (F1–F3), the two fully-specified queries (Q1, Q2),
 // the operator inventories (O1–O3), and ablations of the design choices
-// stated in prose (A1–A6). cmd/graphitti-bench runs the same harness and
-// prints the rows as markdown tables.
+// stated in prose (A1–A7). Besides time, some benchmarks report the
+// sizes the rows describe (graph nodes and edges, answers found, bindings
+// tried) as extra metrics. scripts/bench.sh runs the suites and records
+// the rows as BENCH_<date>.json.
 package graphitti
 
 import (
@@ -79,8 +81,11 @@ func BenchmarkF1AGraphScenario(b *testing.B) {
 		study := fluStudy(b, n)
 		s := study.Store
 		ids := study.AnnotationIDs
+		st := s.Stats()
 		b.Run(fmt.Sprintf("path/anns=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
+			b.ReportMetric(float64(st.GraphNodes), "nodes")
+			b.ReportMetric(float64(st.GraphEdges), "edges")
 			for i := 0; i < b.N; i++ {
 				a := ids[i%len(ids)]
 				c := ids[(i*7+13)%len(ids)]
@@ -256,8 +261,10 @@ func BenchmarkQ1TP53(b *testing.B) {
 		study := neuroStudy(b, images)
 		b.Run(fmt.Sprintf("images=%d", images), func(b *testing.B) {
 			b.ReportAllocs()
+			var res *TP53Result
 			for i := 0; i < b.N; i++ {
-				res, err := QueryTP53Images(study.Store, TP53Options{})
+				var err error
+				res, err = QueryTP53Images(study.Store, TP53Options{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -265,6 +272,8 @@ func BenchmarkQ1TP53(b *testing.B) {
 					b.Fatalf("wrong answer: %d", len(res.Annotations))
 				}
 			}
+			b.ReportMetric(float64(len(res.QualifyingImages)), "qualifying")
+			b.ReportMetric(float64(len(res.Annotations)), "answers")
 		})
 	}
 }
@@ -276,8 +285,10 @@ func BenchmarkQ2Protease(b *testing.B) {
 		study := fluStudy(b, n)
 		b.Run(fmt.Sprintf("anns=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
+			var chains []*Chain
 			for i := 0; i < b.N; i++ {
-				chains, err := QueryConsecutiveKeyword(study.Store, ConsecutiveOptions{})
+				var err error
+				chains, err = QueryConsecutiveKeyword(study.Store, ConsecutiveOptions{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -285,6 +296,7 @@ func BenchmarkQ2Protease(b *testing.B) {
 					b.Fatalf("missed planted chains: %d", len(chains))
 				}
 			}
+			b.ReportMetric(float64(len(chains)), "chains")
 		})
 	}
 }
@@ -622,11 +634,15 @@ where {
 			}
 			b.Run(fmt.Sprintf("%s/anns=%d", name, n), func(b *testing.B) {
 				b.ReportAllocs()
+				var tried int
 				for i := 0; i < b.N; i++ {
-					if _, err := p.ExecuteParsed(q, query.Options{OrderBySelectivity: ordered}); err != nil {
+					res, err := p.ExecuteParsed(q, query.Options{OrderBySelectivity: ordered})
+					if err != nil {
 						b.Fatal(err)
 					}
+					tried = res.Stats.BindingsTried
 				}
+				b.ReportMetric(float64(tried), "bindings")
 			})
 		}
 	}

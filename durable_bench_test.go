@@ -1,7 +1,11 @@
 package graphitti
 
 import (
+	"bytes"
+	"encoding/csv"
 	"fmt"
+	"math"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -9,6 +13,8 @@ import (
 	"graphitti/internal/biodata/imaging"
 	"graphitti/internal/core"
 	"graphitti/internal/durable"
+	"graphitti/internal/obs"
+	"graphitti/internal/query"
 	"graphitti/internal/rtree"
 	"graphitti/internal/workload"
 )
@@ -97,5 +103,85 @@ func BenchmarkW1DurableCommit(b *testing.B) {
 			}
 			wg.Wait()
 		})
+	}
+}
+
+// recoveryMetrics are the registry readings BenchmarkRecoveryMetrics
+// reports, named as obs.Registry.WriteCSV flattens them.
+var recoveryMetrics = []string{
+	"graphitti_store_commit_duration_seconds_p50",
+	"graphitti_store_commit_duration_seconds_p99",
+	"graphitti_durable_commit_wait_seconds_p50",
+	"graphitti_durable_commit_wait_seconds_p99",
+	"graphitti_wal_flushes_total",
+	"graphitti_wal_flush_batch_records_count",
+	"graphitti_wal_flush_batch_records_p50",
+	"graphitti_wal_flush_batch_records_p99",
+	"graphitti_wal_fsync_duration_seconds_p50",
+	"graphitti_wal_fsync_duration_seconds_p99",
+}
+
+// BenchmarkRecoveryMetrics exercises every instrumented layer — the
+// durable mixed recovery stream (WAL, group commit, writer, propagation)
+// followed by the paper's Q1 graph query and a content search — and
+// reports the commit latency, durable wait, WAL flush batching and fsync
+// readings of the process metric registry as extra metrics. The registry
+// is process-global, so the readings describe this workload alone only
+// when it runs by itself, once:
+//
+//	go test -run '^$' -bench '^BenchmarkRecoveryMetrics$' -benchtime 1x .
+//
+// scripts/bench.sh records the readings as metrics:<name> rows.
+func BenchmarkRecoveryMetrics(b *testing.B) {
+	q := query.MustParse(`
+		select graph
+		where {
+		  ?a isa annotation ; contains "protein.TP53" .
+		  ?r isa referent ; kind region .
+		  ?a annotates ?r .
+		}
+	`)
+	for i := 0; i < b.N; i++ {
+		d, err := durable.Open(b.TempDir(), durable.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := workload.ApplyOps(d, workload.RecoveryScenario(workload.DefaultRecovery)); err != nil {
+			b.Fatal(err)
+		}
+		p := query.NewProcessor(d.Core())
+		for j := 0; j < 20; j++ {
+			if _, err := p.ExecuteParsed(q, query.DefaultOptions); err != nil {
+				b.Fatal(err)
+			}
+			if _, err := d.Core().View().SearchContents("TP53"); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := d.Close(); err != nil {
+			b.Fatal(err)
+		}
+	}
+
+	var buf bytes.Buffer
+	if err := obs.Default.WriteCSV(&buf); err != nil {
+		b.Fatal(err)
+	}
+	rows, err := csv.NewReader(&buf).ReadAll()
+	if err != nil {
+		b.Fatal(err)
+	}
+	readings := map[string]float64{}
+	for _, row := range rows[1:] {
+		if v, err := strconv.ParseFloat(row[2], 64); err == nil {
+			readings[row[0]] = v
+		}
+	}
+	for _, name := range recoveryMetrics {
+		v, ok := readings[name]
+		if !ok || math.IsNaN(v) {
+			b.Fatalf("metric registry has no %s reading", name)
+		}
+		b.ReportMetric(v, name)
 	}
 }

@@ -186,7 +186,7 @@ func writeJSONInst(w io.Writer, inst any) {
 // WriteCSV renders the registry as flat CSV rows `name,labels,value`
 // (header included): one row per counter/gauge child; histograms expand
 // to _count, _sum, _p50 and _p99 rows. The flat shape diffs cleanly
-// across runs — the bench harness's -metrics-dump format.
+// across runs; BenchmarkRecoveryMetrics reads its readings from it.
 func (r *Registry) WriteCSV(w io.Writer) error {
 	r.collect()
 	bw := bufio.NewWriter(w)

@@ -50,6 +50,15 @@ type Options struct {
 // DefaultOptions enable selectivity ordering.
 var DefaultOptions = Options{OrderBySelectivity: true}
 
+// Cap returns the number of matches a run of q may return: the smaller
+// of MaxResults and the query's own "limit N" clause, 0 if neither is set.
+func (o Options) Cap(q *Query) int {
+	if q.Limit > 0 && (o.MaxResults == 0 || q.Limit < o.MaxResults) {
+		return q.Limit
+	}
+	return o.MaxResults
+}
+
 // Match binds each query variable to an a-graph node.
 type Match map[string]agraph.NodeRef
 
@@ -147,12 +156,9 @@ func (e *execution) executeOrdered(q *Query, opts Options, forcedOrder []string)
 	stats.Costs = pl.costs
 	stats.Strategies = pl.strategies
 
-	// Phase 3 — joining along a-graph edges with backtracking. The query's
-	// own "limit N" clause applies unless the caller set a tighter cap.
-	limit := opts.MaxResults
-	if q.Limit > 0 && (limit == 0 || q.Limit < limit) {
-		limit = q.Limit
-	}
+	// Phase 3 — joining along a-graph edges with backtracking, up to the
+	// match cap.
+	limit := opts.Cap(q)
 	var matches []Match
 	binding := make(Match, len(q.Vars))
 	if err := e.backtrack(q, domains, pl, 0, binding, &matches, &stats, limit); err != nil {

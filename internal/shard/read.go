@@ -280,10 +280,16 @@ func (s *Store) DerivedSourceEpoch(src uint64) uint64 {
 // Query executes one query against every shard and merges the results
 // in ID order (annotations, referents) / shard order (subgraphs).
 // Planner statistics sum across shards; Order and Strategies report
-// shard 0's plan. MaxResults caps each shard's enumeration and the
-// merged result is re-capped, so the cap holds but which matches
-// survive can differ from the unsharded store.
+// shard 0's plan. The query is parsed once. Its match cap
+// (query.Options.Cap: MaxResults or the query's own "limit N") bounds
+// each shard's enumeration and then the merged result, so it holds
+// across the deployment, but which matches survive can differ from the
+// unsharded store.
 func (s *Store) Query(ctx context.Context, src string, opts query.Options) (*query.Result, error) {
+	q, err := query.Parse(src)
+	if err != nil {
+		return nil, err
+	}
 	n := s.NumShards()
 	results := make([]*query.Result, n)
 	errs := make([]error, n)
@@ -293,7 +299,7 @@ func (s *Store) Query(ctx context.Context, src string, opts query.Options) (*que
 		go func(k int) {
 			defer wg.Done()
 			proc := query.NewProcessor(s.shardCore(k))
-			results[k], errs[k] = proc.ExecuteCtx(ctx, src, opts)
+			results[k], errs[k] = proc.ExecuteParsedCtx(ctx, q, opts)
 		}(k)
 	}
 	wg.Wait()
@@ -327,20 +333,12 @@ func (s *Store) Query(ctx context.Context, src string, opts query.Options) (*que
 	}
 	sortByID(out.Annotations)
 	sort.Slice(out.Referents, func(i, j int) bool { return out.Referents[i].ID < out.Referents[j].ID })
-	if opts.MaxResults > 0 {
-		capTo := func(n int) int {
-			if n > opts.MaxResults {
-				return opts.MaxResults
-			}
-			return n
-		}
-		out.Matches = out.Matches[:capTo(len(out.Matches))]
-		out.Annotations = out.Annotations[:capTo(len(out.Annotations))]
-		out.Referents = out.Referents[:capTo(len(out.Referents))]
-		out.Subgraphs = out.Subgraphs[:capTo(len(out.Subgraphs))]
-		if out.Stats.Matches > opts.MaxResults {
-			out.Stats.Matches = opts.MaxResults
-		}
+	if limit := opts.Cap(q); limit > 0 {
+		out.Matches = out.Matches[:min(len(out.Matches), limit)]
+		out.Annotations = out.Annotations[:min(len(out.Annotations), limit)]
+		out.Referents = out.Referents[:min(len(out.Referents), limit)]
+		out.Subgraphs = out.Subgraphs[:min(len(out.Subgraphs), limit)]
+		out.Stats.Matches = min(out.Stats.Matches, limit)
 	}
 	return out, nil
 }

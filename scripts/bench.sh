@@ -10,10 +10,10 @@
 #                                        # a >REGRESSION_FACTOR regression
 #                                        # in the guard benchmarks
 #   BENCHTIME=100ms scripts/bench.sh     # quicker smoke
-#   COUNT=5 scripts/bench.sh             # repetitions for benchstat/medians
+#   COUNT=5 scripts/bench.sh             # repetitions for the medians
 #
-# The raw `go test -bench` output is kept next to the JSON so benchstat
-# can compare runs: benchstat BENCH_a.txt BENCH_b.txt
+# The raw `go test -bench` output is kept next to the JSON. To compare two
+# runs, pass the earlier JSON to --check.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -47,98 +47,70 @@ fi
 
 PATTERN='BenchmarkF1AGraphScenario|BenchmarkF2AnnotateWorkflow|BenchmarkF3QueryTab|BenchmarkQ1TP53|BenchmarkQ2Protease|BenchmarkO1SubXOps|BenchmarkO2OntologyOps|BenchmarkO3AGraphPrimitives|BenchmarkA1IndexConsolidation|BenchmarkA2IntervalVsScan|BenchmarkA3RTreeVsScan|BenchmarkA4ConnectStrategies|BenchmarkA5PlannerOrdering|BenchmarkA6ContentIndex|BenchmarkA7BulkLoadVsIncremental|BenchmarkW1DurableCommit|BenchmarkW2MixedReadWrite|BenchmarkSearchContentsParallel|BenchmarkPropagation|BenchmarkPlanner'
 
-echo "running benchmark suites (benchtime=${BENCHTIME}, count=${COUNT})…" >&2
-go test -run '^$' -bench "$PATTERN" -benchmem \
-    -benchtime "$BENCHTIME" -count "$COUNT" . | tee "$TXT"
+# The /metrics readings BenchmarkRecoveryMetrics reports; every one must
+# land in the JSON as a metrics:<name> row.
+METRICS='graphitti_store_commit_duration_seconds_p50 graphitti_store_commit_duration_seconds_p99 graphitti_durable_commit_wait_seconds_p50 graphitti_durable_commit_wait_seconds_p99 graphitti_wal_flushes_total graphitti_wal_flush_batch_records_count graphitti_wal_flush_batch_records_p50 graphitti_wal_flush_batch_records_p99 graphitti_wal_fsync_duration_seconds_p50 graphitti_wal_fsync_duration_seconds_p99'
 
-# Convert the standard benchmark lines to JSON:
-#   BenchmarkName/sub=1-8  123  456 ns/op  789 B/op  12 allocs/op
-awk -v date="$DATE" '
-BEGIN { print "["; first = 1 }
+ROWS="$(mktemp)"
+RUN="$(mktemp)"
+trap 'rm -f "$ROWS" "$RUN"' EXIT
+: >"$TXT"
+
+# suite PREFIX PATTERN BENCHTIME COUNT runs the benchmarks matching
+# PATTERN in their own go test process, appends the output to $TXT, and
+# appends one JSON row per result line to $ROWS, its name prefixed by
+# PREFIX. The prefix also picks the row shape:
+#   ""        {name, iterations, ns_per_op[, bytes_per_op, allocs_per_op]}
+#   shards:   {name, iterations, ns_per_op}, plus a derived
+#             shards:commits_per_sec:<bench> {name, value} row
+#   trace:    {name, iterations, ns_per_op}
+#   metrics:  one {name: metrics:<unit>, value} row per b.ReportMetric
+#             unit; no ns_per_op key
+# Only unprefixed names fall inside the --check guard set below.
+suite() {
+    local prefix="$1" pattern="$2" benchtime="$3" count="$4"
+    echo "running ${prefix:-main} suites (benchtime=${benchtime}, count=${count})…" >&2
+    go test -run '^$' -bench "$pattern" -benchmem \
+        -benchtime "$benchtime" -count "$count" . | tee "$RUN"
+    cat "$RUN" >>"$TXT"
+    awk -v date="$DATE" -v prefix="$prefix" '
+function row(body) { printf "  {\"date\": \"%s\", %s}\n", date, body }
+# BenchmarkName/sub=1-8  123  456 ns/op  789 B/op  12 allocs/op  3.000 unit
 /^Benchmark/ {
     name = $1; sub(/-[0-9]+$/, "", name)
-    nsop = ""; bop = ""; allocs = ""
-    for (i = 2; i < NF; i++) {
-        if ($(i + 1) == "ns/op") nsop = $i
-        if ($(i + 1) == "B/op") bop = $i
-        if ($(i + 1) == "allocs/op") allocs = $i
+    split("", v)
+    for (i = 3; i < NF; i += 2) v[$(i + 1)] = $i
+    if (prefix == "metrics:") {
+        for (i = 3; i < NF; i += 2) {
+            unit = $(i + 1)
+            if (unit != "ns/op" && unit != "B/op" && unit != "allocs/op")
+                row(sprintf("\"name\": \"metrics:%s\", \"value\": %s", unit, $i))
+        }
+        next
     }
-    if (nsop == "") next
-    if (!first) printf ",\n"
-    first = 0
-    printf "  {\"date\": \"%s\", \"name\": \"%s\", \"iterations\": %s, \"ns_per_op\": %s", date, name, $2, nsop
-    if (bop != "") printf ", \"bytes_per_op\": %s", bop
-    if (allocs != "") printf ", \"allocs_per_op\": %s", allocs
-    printf "}"
+    if (!("ns/op" in v)) next
+    body = sprintf("\"name\": \"%s%s\", \"iterations\": %s, \"ns_per_op\": %s", prefix, name, $2, v["ns/op"])
+    if (prefix == "" && ("B/op" in v)) body = body ", \"bytes_per_op\": " v["B/op"]
+    if (prefix == "" && ("allocs/op" in v)) body = body ", \"allocs_per_op\": " v["allocs/op"]
+    row(body)
+    if (prefix == "shards:")
+        row(sprintf("\"name\": \"shards:commits_per_sec:%s\", \"value\": %.1f", name, 1e9 / v["ns/op"]))
 }
-END { print "\n]" }
-' "$TXT" >"$JSON"
+' "$RUN" >>"$ROWS"
+}
 
-echo "wrote $TXT and $JSON" >&2
+suite "" "$PATTERN" "$BENCHTIME" "$COUNT"
 
 # Sharded scaling matrix: the W2 write side and durable commits at
-# 1/2/4/8 writer pipelines, recorded as "shards:<bench>" rows plus a
-# derived "shards:commits_per_sec:<bench>" rate for each point. The
-# names carry the shards: prefix so the --check guard below (which
-# matches on the pre-/ root of the name) never treats the scaling curve
-# as a regression floor.
-SHARD_PATTERN='BenchmarkW2ShardedCommits|BenchmarkW1ShardedDurableCommit'
-SHARD_TMP="$(mktemp)"
-echo "running sharded scaling matrix (benchtime=${BENCHTIME}, count=${COUNT})…" >&2
-go test -run '^$' -bench "$SHARD_PATTERN" -benchmem \
-    -benchtime "$BENCHTIME" -count "$COUNT" . | tee "$SHARD_TMP"
-# One artifact set per date: the raw lines ride along in the main TXT
-# (benchstat handles the mixed file fine) instead of a .shards.txt fork.
-grep '^Benchmark' "$SHARD_TMP" >>"$TXT" || true
-awk -v date="$DATE" '
-/^Benchmark/ {
-    name = $1; sub(/-[0-9]+$/, "", name)
-    nsop = ""
-    for (i = 2; i < NF; i++) if ($(i + 1) == "ns/op") nsop = $i
-    if (nsop == "") next
-    printf ",\n  {\"date\": \"%s\", \"name\": \"shards:%s\", \"iterations\": %s, \"ns_per_op\": %s}", date, name, $2, nsop
-    printf ",\n  {\"date\": \"%s\", \"name\": \"shards:commits_per_sec:%s\", \"value\": %.1f}", date, name, 1e9 / nsop
-}
-' "$SHARD_TMP" >"$JSON.shards"
-if [ -s "$JSON.shards" ]; then
-    head -n -1 "$JSON" >"$JSON.tmp"
-    cat "$JSON.shards" >>"$JSON.tmp"
-    printf '\n]\n' >>"$JSON.tmp"
-    mv "$JSON.tmp" "$JSON"
-    echo "recorded $(grep -c '"name": "shards:' "$JSON") sharded scaling rows into $JSON" >&2
-fi
-rm -f "$JSON.shards" "$SHARD_TMP"
+# 1/2/4/8 writer pipelines, with a commits/s rate for each point.
+suite "shards:" 'BenchmarkW2ShardedCommits|BenchmarkW1ShardedDurableCommit' "$BENCHTIME" "$COUNT"
 
 # Tracing overhead probe: the traced W2 variant (every commit carries a
 # span tree into a live ring, every read runs under a traced context)
 # against the untraced W2 medians from THIS run — same binary, machine
-# and benchtime, so the ratio isolates the tracing cost. Rows are
-# recorded with a trace: prefix, which keeps them outside the cross-PR
-# --check guard set; the overhead itself is gated here, in-run, at the
-# same REGRESSION_FACTOR.
-TRACE_PATTERN='BenchmarkW2TracedMixedReadWrite'
-TRACE_TMP="$(mktemp)"
-echo "running traced W2 overhead probe (benchtime=${BENCHTIME}, count=${COUNT})…" >&2
-go test -run '^$' -bench "$TRACE_PATTERN" -benchmem \
-    -benchtime "$BENCHTIME" -count "$COUNT" . | tee "$TRACE_TMP"
-grep '^Benchmark' "$TRACE_TMP" >>"$TXT" || true
-awk -v date="$DATE" '
-/^Benchmark/ {
-    name = $1; sub(/-[0-9]+$/, "", name)
-    nsop = ""
-    for (i = 2; i < NF; i++) if ($(i + 1) == "ns/op") nsop = $i
-    if (nsop == "") next
-    printf ",\n  {\"date\": \"%s\", \"name\": \"trace:%s\", \"iterations\": %s, \"ns_per_op\": %s}", date, name, $2, nsop
-}
-' "$TRACE_TMP" >"$JSON.trace"
-if [ -s "$JSON.trace" ]; then
-    head -n -1 "$JSON" >"$JSON.tmp"
-    cat "$JSON.trace" >>"$JSON.tmp"
-    printf '\n]\n' >>"$JSON.tmp"
-    mv "$JSON.tmp" "$JSON"
-    echo "recorded $(grep -c '"name": "trace:' "$JSON") tracing rows into $JSON" >&2
-fi
-rm -f "$JSON.trace" "$TRACE_TMP"
+# and benchtime, so the ratio isolates the tracing cost. The overhead is
+# gated here, in-run, at the same REGRESSION_FACTOR.
+suite "trace:" 'BenchmarkW2TracedMixedReadWrite' "$BENCHTIME" "$COUNT"
 
 echo "checking traced-vs-untraced W2 overhead (limit ${REGRESSION_FACTOR}x)…" >&2
 awk -v factor="$REGRESSION_FACTOR" '
@@ -172,31 +144,22 @@ END {
 }
 ' "$TXT"
 
-# Append selected /metrics readings (the durable mixed workload's commit
-# latency quantiles and WAL flush batching) as {"name": "metrics:…",
-# "value": …} rows. They carry no ns_per_op key, so the --check guard
-# below ignores them; they exist to put observability numbers on the same
-# per-PR trajectory as the benchmarks.
-METRICS_CSV="$(mktemp)"
-trap 'rm -f "$METRICS_CSV"' EXIT
-echo "collecting /metrics deltas from the durable mixed workload…" >&2
-go run ./cmd/graphitti-bench -metrics-dump "$METRICS_CSV"
-awk -v date="$DATE" '
-BEGIN { FS = "," }
-$1 ~ /^(graphitti_store_commit_duration_seconds_(p50|p99)|graphitti_durable_commit_wait_seconds_(p50|p99)|graphitti_wal_flushes_total|graphitti_wal_flush_batch_records_(count|p50|p99)|graphitti_wal_fsync_duration_seconds_(p50|p99))$/ {
-    if ($3 == "NaN") next
-    printf ",\n  {\"date\": \"%s\", \"name\": \"metrics:%s\", \"value\": %s}", date, $1, $3
-}
-' "$METRICS_CSV" >"$JSON.metrics"
-if [ -s "$JSON.metrics" ]; then
-    # Splice the rows into the JSON array before the closing bracket.
-    head -n -1 "$JSON" >"$JSON.tmp"
-    cat "$JSON.metrics" >>"$JSON.tmp"
-    printf '\n]\n' >>"$JSON.tmp"
-    mv "$JSON.tmp" "$JSON"
-    echo "recorded $(grep -c '"name": "metrics:' "$JSON") metric rows into $JSON" >&2
+# /metrics readings from the durable mixed workload (commit latency
+# quantiles, WAL flush batching). The metric registry is process-global,
+# so the benchmark runs alone, once, in its own process.
+suite "metrics:" '^BenchmarkRecoveryMetrics$' 1x 1
+
+{ echo "["; sed '$!s/$/,/' "$ROWS"; echo "]"; } >"$JSON"
+echo "wrote $TXT and $JSON" >&2
+
+missing=""
+for m in $METRICS; do
+    grep -q "\"name\": \"metrics:$m\"" "$JSON" || missing="$missing $m"
+done
+if [ -n "$missing" ]; then
+    echo "missing metrics rows in $JSON:$missing" >&2
+    exit 1
 fi
-rm -f "$JSON.metrics"
 
 [ -z "$BASELINE" ] && exit 0
 

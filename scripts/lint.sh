@@ -6,6 +6,7 @@
 #   1. go vet ./...
 #   2. staticcheck ./...        (if installed; CI installs a pinned release)
 #   3. graphitti-lint ./...     (repo-invariant analyzers, docs/LINTING.md)
+#   4. bash -n scripts/*.sh     (shell syntax)
 #
 # Prints each gate's verdict and ends with exactly one summary line:
 #   lint: PASS (<gates>)   or   lint: FAIL (<failed gates>)
@@ -38,6 +39,15 @@ else
 fi
 
 run "graphitti-lint" go run ./cmd/graphitti-lint ./...
+
+shell_syntax() {
+  local f rc=0
+  for f in scripts/*.sh; do
+    bash -n "$f" || rc=1
+  done
+  return "$rc"
+}
+run "bash -n" shell_syntax
 
 if [ "${#failed[@]}" -gt 0 ]; then
   echo "lint: FAIL (${failed[*]})"
