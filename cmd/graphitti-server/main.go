@@ -14,8 +14,9 @@
 //	curl localhost:8080/api/stats
 //	curl -X POST localhost:8080/api/search -d '{"expr":"contains(/annotation/body, \"protease\")"}'
 //
-// In durable mode a -study or -snapshot seeds the directory only when it
-// holds no prior state; an existing directory always wins.
+// A -study or -snapshot seed is restored into the shards the way POST
+// /api/restore is; one that fails to load changes no shard. In durable
+// mode it seeds the directory only when it holds no prior state.
 //
 // The server is production-shaped: read-header and idle timeouts bound
 // slow clients, SIGINT/SIGTERM triggers a graceful drain (bounded by
@@ -42,7 +43,6 @@ import (
 	"syscall"
 	"time"
 
-	"graphitti"
 	"graphitti/internal/durable"
 	"graphitti/internal/httpapi"
 	"graphitti/internal/persist"
@@ -199,11 +199,7 @@ func buildHandler(cfg serverConfig) (_ http.Handler, _ *shard.Store, report stri
 	// A -study or -snapshot seeds only a store with no prior state; an
 	// existing data directory always wins.
 	if fresh && (cfg.snapshot != "" || cfg.study != "") {
-		seed, err := buildStore(cfg.study, cfg.anns, cfg.images, cfg.snapshot)
-		if err != nil {
-			return nil, nil, "", err
-		}
-		snap, err := persist.Export(seed)
+		snap, err := seedSnapshot(cfg.study, cfg.anns, cfg.images, cfg.snapshot)
 		if err != nil {
 			return nil, nil, "", err
 		}
@@ -256,18 +252,21 @@ func seedSource(study, snapshot string) string {
 	return "study " + study
 }
 
-func buildStore(study string, anns, images int, snapshot string) (*graphitti.Store, error) {
+// seedSnapshot returns what a fresh store is seeded from: the -snapshot
+// file, only decoded (Restore validates it as it loads), or the -study
+// built and exported once.
+func seedSnapshot(study string, anns, images int, snapshot string) (*persist.Snapshot, error) {
 	if snapshot != "" {
 		f, err := os.Open(snapshot)
 		if err != nil {
 			return nil, err
 		}
 		defer f.Close()
-		return persist.Read(f)
+		return persist.Decode(f)
 	}
 	switch study {
 	case "", "none":
-		return graphitti.New(), nil
+		return &persist.Snapshot{Version: persist.Version}, nil
 	case "influenza":
 		cfg := workload.DefaultInfluenza
 		cfg.Annotations = anns
@@ -275,7 +274,7 @@ func buildStore(study string, anns, images int, snapshot string) (*graphitti.Sto
 		if err != nil {
 			return nil, err
 		}
-		return s.Store, nil
+		return persist.Export(s.Store)
 	case "neuro":
 		cfg := workload.DefaultNeuro
 		cfg.Images = images
@@ -283,7 +282,7 @@ func buildStore(study string, anns, images int, snapshot string) (*graphitti.Sto
 		if err != nil {
 			return nil, err
 		}
-		return s.Store, nil
+		return persist.Export(s.Store)
 	default:
 		return nil, fmt.Errorf("unknown study %q", study)
 	}

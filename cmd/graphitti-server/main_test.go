@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"graphitti/internal/core"
 	"graphitti/internal/durable"
 	"graphitti/internal/persist"
 	"graphitti/internal/prop"
@@ -90,12 +91,116 @@ func TestGracefulShutdownClosesStore(t *testing.T) {
 	}
 }
 
-// TestBuildHandlerUnknownStudy pins the config-error path of run's
-// builder.
-func TestBuildHandlerUnknownStudy(t *testing.T) {
-	_, _, _, err := buildHandler(serverConfig{study: "no-such-study"})
-	if err == nil {
-		t.Fatal("unknown study accepted")
+// TestBuildHandlerSeed pins how a fresh store is seeded. A -snapshot
+// file serves exactly the file's own unsharded export at any shard
+// count, in memory or durable, and a directory that holds state ignores
+// a later seed. A seed that fails (unknown study, missing file,
+// malformed JSON, unknown format version) is an error that leaves the
+// directory fresh, so the next start seeds normally.
+func TestBuildHandlerSeed(t *testing.T) {
+	tmp := t.TempDir()
+	writeFile := func(name, body string) string {
+		t.Helper()
+		path := filepath.Join(tmp, name)
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	// seedFile writes a snapshot of a workload spread over several
+	// routing domains and returns its path and its unsharded export.
+	seedFile := func(name string, seed int64) (path, want string) {
+		t.Helper()
+		cs := core.NewStore()
+		ops := workload.ShardedScenario(workload.RecoveryConfig{Seed: seed, Images: 4, Ops: 80}, 4)
+		if err := workload.ApplyOps(workload.AsSink(cs), ops); err != nil {
+			t.Fatal(err)
+		}
+		var file bytes.Buffer
+		if err := persist.Write(cs, &file); err != nil {
+			t.Fatal(err)
+		}
+		path = writeFile(name, file.String())
+		loaded, err := persist.Read(&file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var export bytes.Buffer
+		if err := persist.Write(loaded, &export); err != nil {
+			t.Fatal(err)
+		}
+		return path, export.String()
+	}
+	first, want := seedFile("first.json", 1)
+	second, _ := seedFile("second.json", 2)
+	serve := func(t *testing.T, cfg serverConfig) string {
+		t.Helper()
+		h, sh, _, err := buildHandler(cfg)
+		if err != nil {
+			t.Fatalf("buildHandler: %v", err)
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("GET", "/api/snapshot", nil))
+		if err := sh.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if rec.Code != http.StatusOK {
+			t.Fatalf("GET /api/snapshot: %d %s", rec.Code, rec.Body)
+		}
+		return rec.Body.String()
+	}
+
+	for _, tc := range []struct {
+		name    string
+		durable bool
+		shards  int
+	}{
+		{"memory", false, 0},
+		{"durable/shards=0", true, 0},
+		{"durable/shards=2", true, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := serverConfig{snapshot: first, shards: tc.shards}
+			if tc.durable {
+				cfg.dataDir = t.TempDir()
+			}
+			if got := serve(t, cfg); got != want {
+				t.Fatal("served snapshot differs from the seed file's unsharded export")
+			}
+			if !tc.durable {
+				return
+			}
+			// A second start with another seed: the directory wins.
+			cfg.snapshot = second
+			if got := serve(t, cfg); got != want {
+				t.Fatal("a restart with a different -snapshot replaced the first seed")
+			}
+		})
+	}
+
+	for _, tc := range []struct {
+		name string
+		cfg  serverConfig
+	}{
+		{"unknown-study", serverConfig{study: "no-such-study"}},
+		{"missing-file", serverConfig{snapshot: filepath.Join(tmp, "missing.json")}},
+		{"malformed-json", serverConfig{snapshot: writeFile("malformed.json", `{"version": 2, "annotations": [`)}},
+		{"version-99", serverConfig{snapshot: writeFile("v99.json", `{"version": 99}`)}},
+	} {
+		t.Run("bad/"+tc.name, func(t *testing.T) {
+			if _, _, _, err := buildHandler(tc.cfg); err == nil {
+				t.Fatal("in-memory start accepted the seed")
+			}
+			dir := t.TempDir()
+			cfg := tc.cfg
+			cfg.dataDir, cfg.shards = dir, 2
+			if _, _, _, err := buildHandler(cfg); err == nil {
+				t.Fatal("durable start accepted the seed")
+			}
+			if got := serve(t, serverConfig{dataDir: dir, snapshot: first}); got != want {
+				t.Fatal("a failed seed left the directory unable to take a valid one")
+			}
+		})
 	}
 }
 

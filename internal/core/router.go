@@ -35,7 +35,7 @@ func (a *AtomicIDs) AllocAnnotationID() uint64 { return a.ann.Add(1) }
 func (a *AtomicIDs) AllocReferentID() uint64 { return a.ref.Add(1) }
 
 // Advance raises the counters to at least (nextAnn, nextRef) — the
-// recovery path calls it with the maximum per-shard view counters so
+// recovery path calls it with every shard's view counters so
 // post-replay allocations resume after every replayed ID.
 func (a *AtomicIDs) Advance(nextAnn, nextRef uint64) {
 	advanceMax(&a.ann, nextAnn)

@@ -383,10 +383,14 @@ func (s *Store) load() error {
 			// loss, not a fresh directory.
 			return fmt.Errorf("durable: manifest names snapshot %s: %w", man.Snapshot, err)
 		}
-		cs, lerr := persist.ReadWith(f, s.opts.Store)
+		snap, err := persist.Decode(f)
 		f.Close()
-		if lerr != nil {
-			return fmt.Errorf("durable: load snapshot: %w", lerr)
+		if err != nil {
+			return fmt.Errorf("durable: load snapshot: %w", err)
+		}
+		cs, err := persist.LoadWith(snap, s.opts.Store)
+		if err != nil {
+			return fmt.Errorf("durable: load snapshot: %w", err)
 		}
 		s.core.Store(cs)
 	case man.SnapshotSeq != 0:
@@ -950,28 +954,35 @@ func (s *Store) checkpointLocked(cs *core.Store, seq uint64) error {
 	return nil
 }
 
-// Restore replaces the store's entire state with snap and checkpoints it
-// immediately (fresh snapshot + empty log). The previous state is gone.
+// Restore loads snap and installs it (see Install); a snapshot that
+// fails to load leaves the store untouched.
 func (s *Store) Restore(snap *persist.Snapshot) (*core.Store, error) {
 	cs, err := persist.LoadWith(snap, s.opts.Store)
 	if err != nil {
 		return nil, err
 	}
+	if err := s.Install(cs); err != nil {
+		return nil, err
+	}
+	return cs, nil
+}
+
+// Install replaces the store's entire state with the loaded cs. It
+// checkpoints cs (fresh snapshot + empty log) before swapping it in, so a
+// failed checkpoint leaves the previous state serving; the restore counts
+// as one op, so stale log records never replay over it.
+func (s *Store) Install(cs *core.Store) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
-		return nil, wal.ErrClosed
+		return wal.ErrClosed
 	}
-	// Checkpoint the restored state BEFORE swapping it in: if the
-	// checkpoint fails, memory still matches disk and the store keeps
-	// serving its previous state. The +1 makes the restore itself an op,
-	// so stale log records can never replay over the restored state.
 	if err := s.checkpointLocked(cs, s.seq+1); err != nil {
-		return nil, err
+		return err
 	}
 	s.core.Store(cs)
 	s.seq++
-	return cs, nil
+	return nil
 }
 
 // Stats returns durability counters.

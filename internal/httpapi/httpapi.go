@@ -765,12 +765,9 @@ func (s *server) snapshot(w http.ResponseWriter, _ *http.Request) {
 	}
 }
 
-// restore loads a persist snapshot (the body is what GET /api/snapshot
-// produces) and swaps it in: the shard store partitions the snapshot and
-// swaps its pipelines internally, under the inter-shard channel. In
-// durable mode the restored state is checkpointed (snapshot + empty WAL)
-// before the request is acknowledged; the previous state is discarded
-// either way.
+// restore replaces the whole store with a persist snapshot (the body GET
+// /api/snapshot produces) through shard.Restore, which in durable mode
+// checkpoints it before the request is acknowledged.
 func (s *server) restore(w http.ResponseWriter, r *http.Request) {
 	limit := s.opts.MaxRestoreBytes
 	if limit <= 0 {

@@ -825,14 +825,9 @@ func Decode(r io.Reader) (*Snapshot, error) {
 
 // Read loads a snapshot from JSON and rebuilds the store.
 func Read(r io.Reader) (*core.Store, error) {
-	return ReadWith(r, core.StoreOptions{})
-}
-
-// ReadWith is Read into a store built with opts.
-func ReadWith(r io.Reader, opts core.StoreOptions) (*core.Store, error) {
 	snap, err := Decode(r)
 	if err != nil {
 		return nil, err
 	}
-	return LoadWith(snap, opts)
+	return Load(snap)
 }

@@ -10,11 +10,13 @@ package shard_test
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"reflect"
 	"testing"
 
 	"graphitti/internal/agraph"
 	"graphitti/internal/core"
+	"graphitti/internal/durable"
 	"graphitti/internal/persist"
 	"graphitti/internal/shard"
 	"graphitti/internal/workload"
@@ -100,43 +102,94 @@ func TestShardedDifferentialExport(t *testing.T) {
 	}
 }
 
-// TestShardedRestoreRoundTrip: a merged export restored into a fresh
-// sharded store (any shard count) must export identically — the
-// partition function is an inverse of the merge.
+// TestShardedRestoreRoundTrip: a snapshot restored into a fresh sharded
+// store (any shard count, in memory or durable) must export exactly what
+// an unsharded load of it exports. For a merged export that is the
+// snapshot itself — the partition function is an inverse of the merge.
+// For the same content as a v1 snapshot (no IDs, no counters) it pins
+// ID assignment in file order, independent of shard count and of the
+// order in which shards load.
 func TestShardedRestoreRoundTrip(t *testing.T) {
 	ops := workload.ShardedScenario(workload.RecoveryConfig{Seed: 11, Images: 6, Ops: 250}, 3)
 	src := shard.New(3)
 	if err := workload.ApplyOps(src, ops); err != nil {
 		t.Fatal(err)
 	}
-	snap, err := src.Export()
+	v2, err := src.Export()
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantJSON := exportJSON(t, snap)
-	for n := 1; n <= 4; n++ {
-		dst := shard.New(n)
-		if err := dst.Restore(snap); err != nil {
-			t.Fatalf("n=%d restore: %v", n, err)
+	var v1 persist.Snapshot
+	if err := json.Unmarshal(exportJSON(t, v2), &v1); err != nil {
+		t.Fatal(err)
+	}
+	v1.Version, v1.NextAnn, v1.NextRef = 1, 0, 0
+	for i := range v1.Annotations {
+		v1.Annotations[i].ID = 0
+		for j := range v1.Annotations[i].Referents {
+			v1.Annotations[i].Referents[j].ID = 0
 		}
-		got, err := dst.Export()
-		if err != nil {
-			t.Fatalf("n=%d re-export: %v", n, err)
-		}
-		if !bytes.Equal(exportJSON(t, got), wantJSON) {
-			t.Errorf("n=%d restore round-trip diverged", n)
-			diffSnapshots(t, got, snap)
-		}
-		// Restored stores must keep allocating fresh IDs above the
-		// snapshot's counters.
-		b := dst.NewAnnotation().Creator("x").Date("2008-01-01").Body("post-restore probe")
-		b.OntologyRef("nif", "cerebellum")
-		ann, err := dst.Commit(b)
-		if err != nil {
-			t.Fatalf("n=%d post-restore commit: %v", n, err)
-		}
-		if ann.ID < snap.NextAnn {
-			t.Errorf("n=%d post-restore annotation ID %d below counter %d", n, ann.ID, snap.NextAnn)
+	}
+	unsharded, err := persist.Load(&v1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v1Want, err := persist.Export(unsharded)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	inputs := []struct {
+		name       string
+		snap, want *persist.Snapshot
+	}{
+		{"v2", v2, v2},
+		{"v1", &v1, v1Want},
+	}
+	backends := []struct {
+		name string
+		open func(t *testing.T, n int) *shard.Store
+	}{
+		{"memory", func(t *testing.T, n int) *shard.Store { return shard.New(n) }},
+		{"durable", func(t *testing.T, n int) *shard.Store {
+			s, err := shard.Open(t.TempDir(), n, durable.Options{NoSync: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { s.Close() })
+			return s
+		}},
+	}
+	for _, in := range inputs {
+		wantJSON := exportJSON(t, in.want)
+		for _, b := range backends {
+			for n := 1; n <= 4; n++ {
+				t.Run(fmt.Sprintf("%s/%s/n=%d", in.name, b.name, n), func(t *testing.T) {
+					dst := b.open(t, n)
+					if err := dst.Restore(in.snap); err != nil {
+						t.Fatalf("restore: %v", err)
+					}
+					got, err := dst.Export()
+					if err != nil {
+						t.Fatalf("re-export: %v", err)
+					}
+					if !bytes.Equal(exportJSON(t, got), wantJSON) {
+						t.Errorf("restore round-trip diverged from the unsharded load")
+						diffSnapshots(t, got, in.want)
+					}
+					// Restored stores must keep allocating fresh IDs above
+					// the restored counters.
+					probe := dst.NewAnnotation().Creator("x").Date("2008-01-01").Body("post-restore probe")
+					probe.OntologyRef("nif", "cerebellum")
+					ann, err := dst.Commit(probe)
+					if err != nil {
+						t.Fatalf("post-restore commit: %v", err)
+					}
+					if ann.ID <= in.want.NextAnn {
+						t.Errorf("post-restore annotation ID %d not above counter %d", ann.ID, in.want.NextAnn)
+					}
+				})
+			}
 		}
 	}
 }

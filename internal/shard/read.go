@@ -13,9 +13,8 @@ package shard
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
-	"strconv"
-	"sync"
 
 	"graphitti/internal/agraph"
 	"graphitti/internal/core"
@@ -180,20 +179,11 @@ func (s *Store) SearchContents(expr string) ([]*core.Annotation, error) {
 func (s *Store) SearchContentsCtx(ctx context.Context, expr string) ([]*core.Annotation, error) {
 	views := s.Views()
 	results := make([][]*core.Annotation, len(views))
-	errs := make([]error, len(views))
-	var wg sync.WaitGroup
-	for k, v := range views {
-		wg.Add(1)
-		go func(k int, v *core.View) {
-			defer wg.Done()
-			results[k], errs[k] = v.SearchContentsCtx(ctx, expr)
-		}(k, v)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	if err := s.eachShard(func(k int) (err error) {
+		results[k], err = views[k].SearchContentsCtx(ctx, expr)
+		return err
+	}); err != nil {
+		return nil, err
 	}
 	var out []*core.Annotation
 	for _, r := range results {
@@ -290,23 +280,12 @@ func (s *Store) Query(ctx context.Context, src string, opts query.Options) (*que
 	if err != nil {
 		return nil, err
 	}
-	n := s.NumShards()
-	results := make([]*query.Result, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for k := 0; k < n; k++ {
-		wg.Add(1)
-		go func(k int) {
-			defer wg.Done()
-			proc := query.NewProcessor(s.shardCore(k))
-			results[k], errs[k] = proc.ExecuteParsedCtx(ctx, q, opts)
-		}(k)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	results := make([]*query.Result, s.NumShards())
+	if err := s.eachShard(func(k int) (err error) {
+		results[k], err = query.NewProcessor(s.shardCore(k)).ExecuteParsedCtx(ctx, q, opts)
+		return err
+	}); err != nil {
+		return nil, err
 	}
 	out := &query.Result{
 		Kind: results[0].Kind,
@@ -390,16 +369,28 @@ func (s *Store) Export() (*persist.Snapshot, error) {
 	return out, nil
 }
 
-// Restore replaces the deployment's entire state with snap: the snapshot
-// is partitioned by the same routing keys live mutations use, and each
-// shard restores (and, when durable, checkpoints) its partition. Runs
-// under the inter-shard channel (excluding broadcasts and cross-shard
-// commits) and every shard's writer latch (excluding routed mutations),
-// so nothing can be acknowledged into a core this swap replaces — a
-// commit concurrent with Restore either completes before the swap and
-// is replaced with the rest of the old state, or waits and lands in the
-// restored state.
+// Restore replaces the deployment's entire state with snap; it is the
+// only way a snapshot enters a running store. A snapshot whose
+// annotations or referents lack IDs (every v1 snapshot) is first loaded
+// and exported unsharded, so IDs follow file order at any shard count.
+// The snapshot is then partitioned by the routing keys live mutations
+// use, every partition is loaded in parallel, and only once all have
+// loaded are they installed: a core-pointer swap in memory, a checkpoint
+// then swap when durable (durable.Store.Install).
+//
+// So a snapshot that fails to load changes no shard. A disk fault while
+// one durable shard checkpoints leaves that shard's previous state in
+// place, while shards that checkpointed keep the restored state; the
+// error names the failed shard, and restoring again converges.
+//
+// Restore holds the inter-shard channel and every shard's writer latch,
+// so a concurrent commit either completes before the swap (and is
+// replaced) or waits and lands in the restored state.
 func (s *Store) Restore(snap *persist.Snapshot) error {
+	snap, err := withIDs(snap)
+	if err != nil {
+		return err
+	}
 	parts := s.partition(snap)
 	s.gmu.Lock()
 	defer s.gmu.Unlock()
@@ -408,39 +399,38 @@ func (s *Store) Restore(snap *persist.Snapshot) error {
 		defer s.smu[k].Unlock()
 	}
 	s.gseq.Add(1)
-	n := s.NumShards()
-	if s.durs != nil {
-		errs := make([]error, n)
-		var wg sync.WaitGroup
-		for k := 0; k < n; k++ {
-			wg.Add(1)
-			go func(k int) {
-				defer wg.Done()
-				_, errs[k] = s.durs[k].Restore(parts[k])
-			}(k)
-		}
-		wg.Wait()
-		for k, err := range errs {
-			if err != nil {
-				return tag(k, err)
-			}
-		}
-		s.advanceIDs()
-		return nil
+	fresh := make([]*core.Store, s.NumShards())
+	if err := s.eachShard(func(k int) (err error) {
+		fresh[k], err = persist.LoadWith(parts[k], s.coreOptions(k))
+		return tag(k, err)
+	}); err != nil {
+		return err
 	}
-	fresh := make([]*core.Store, n)
-	for k := 0; k < n; k++ {
-		cs, err := persist.LoadWith(parts[k], core.StoreOptions{Shard: strconv.Itoa(k), IDs: s.ids})
-		if err != nil {
-			return tag(k, err)
+	err = s.eachShard(func(k int) error {
+		if s.durs != nil {
+			return tag(k, s.durs[k].Install(fresh[k]))
 		}
-		fresh[k] = cs
-	}
-	for k := 0; k < n; k++ {
 		s.cores[k].Store(fresh[k])
-	}
+		return nil
+	})
+	// Even a partial install may have raised some shard's counters.
 	s.advanceIDs()
-	return nil
+	return err
+}
+
+// withIDs returns snap if it carries every annotation and referent ID,
+// else (v1) its unsharded load re-exported, which assigns them in order.
+func withIDs(snap *persist.Snapshot) (*persist.Snapshot, error) {
+	for _, ad := range snap.Annotations {
+		if ad.ID == 0 || slices.ContainsFunc(ad.Referents, func(rd persist.ReferentDump) bool { return rd.ID == 0 }) {
+			cs, err := persist.Load(snap)
+			if err != nil {
+				return nil, err
+			}
+			return persist.Export(cs)
+		}
+	}
+	return snap, nil
 }
 
 // partition splits a snapshot by routing key. Broadcast sections

@@ -1,6 +1,9 @@
 package shard
 
 import (
+	"bytes"
+	"encoding/json"
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -8,7 +11,10 @@ import (
 
 	"graphitti/internal/biodata/seq"
 	"graphitti/internal/core"
+	"graphitti/internal/durable"
 	"graphitti/internal/interval"
+	"graphitti/internal/persist"
+	"graphitti/internal/workload"
 )
 
 // registerDomainSeq registers a DNA sequence addressed in domain so
@@ -115,5 +121,72 @@ func TestRestoreWaitsForRoutedWriters(t *testing.T) {
 	}
 	if got := len(s.Annotations()); got != 2 {
 		t.Fatalf("annotations after restore+commit = %d, want 2 (seed + concurrent)", got)
+	}
+}
+
+// TestRestoreLoadFailureChangesNoShard: a snapshot whose shard-1
+// partition fails to load must leave every shard of a durable store
+// exactly as it was. No shard may checkpoint (and so adopt) its own
+// partition while another shard's partition is unloadable.
+func TestRestoreLoadFailureChangesNoShard(t *testing.T) {
+	s, err := Open(t.TempDir(), 2, durable.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if err := workload.ApplyOps(s, workload.ShardedScenario(workload.RecoveryConfig{Seed: 3, Images: 4, Ops: 80}, 2)); err != nil {
+		t.Fatal(err)
+	}
+	exportOf := func() []byte {
+		t.Helper()
+		snap, err := s.Export()
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := json.Marshal(snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	wantJSON := exportOf()
+	wantStats := s.DurabilityStats()
+
+	// The snapshot: another store's state, plus one term-only annotation
+	// naming an ontology that routes to shard 1 and is not registered.
+	src := New(2)
+	if err := workload.ApplyOps(src, workload.ShardedScenario(workload.RecoveryConfig{Seed: 4, Images: 4, Ops: 80}, 2)); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := src.Export()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ghost := ""
+	for i := 0; ghost == ""; i++ {
+		if o := fmt.Sprintf("ghost-%d", i); s.router.ShardOfKey(o) == 1 {
+			ghost = o
+		}
+	}
+	snap.NextAnn++
+	snap.Annotations = append(snap.Annotations, persist.AnnotationDump{
+		ID:    snap.NextAnn,
+		DC:    map[string][]string{"creator": {"tester"}, "date": {"2026-10-18"}},
+		Body:  "names an unregistered ontology",
+		Terms: []persist.TermRefDump{{Ontology: ghost, Term: "t"}},
+	})
+
+	err = s.Restore(snap)
+	var se *Error
+	if !errors.As(err, &se) || se.Shard != 1 {
+		t.Fatalf("restore error = %v, want shard 1's load failure", err)
+	}
+	if !bytes.Equal(exportOf(), wantJSON) {
+		t.Error("failed restore changed the store's export")
+	}
+	for k, st := range s.DurabilityStats() {
+		if st.Seq != wantStats[k].Seq {
+			t.Errorf("shard %d: seq %d after failed restore, want %d", k, st.Seq, wantStats[k].Seq)
+		}
 	}
 }

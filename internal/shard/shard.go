@@ -45,6 +45,7 @@
 package shard
 
 import (
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -142,9 +143,7 @@ func New(n int) *Store {
 	s := newStore(n)
 	s.cores = make([]atomic.Pointer[core.Store], n)
 	for k := 0; k < n; k++ {
-		s.cores[k].Store(core.NewStoreWithOptions(core.StoreOptions{
-			Shard: strconv.Itoa(k), IDs: s.ids,
-		}))
+		s.cores[k].Store(core.NewStoreWithOptions(s.coreOptions(k)))
 	}
 	return s
 }
@@ -215,30 +214,43 @@ func Open(dir string, n int, opts durable.Options) (*Store, error) {
 
 	s := newStore(n)
 	s.durs = make([]*durable.Store, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for k := 0; k < n; k++ {
-		wg.Add(1)
-		go func(k int) {
-			defer wg.Done()
-			o := opts
-			o.Store = core.StoreOptions{Shard: strconv.Itoa(k), IDs: s.ids}
-			s.durs[k], errs[k] = durable.Open(filepath.Join(dir, shardDir(k)), o)
-		}(k)
-	}
-	wg.Wait()
-	for k, err := range errs {
-		if err != nil {
-			for _, d := range s.durs {
-				if d != nil {
-					_ = d.Close()
-				}
+	if err := s.eachShard(func(k int) (err error) {
+		o := opts
+		o.Store = s.coreOptions(k)
+		s.durs[k], err = durable.Open(filepath.Join(dir, shardDir(k)), o)
+		return tag(k, err)
+	}); err != nil {
+		for _, d := range s.durs {
+			if d != nil {
+				_ = d.Close()
 			}
-			return nil, &Error{Shard: k, Err: err}
 		}
+		return nil, err
 	}
 	s.advanceIDs()
 	return s, nil
+}
+
+// coreOptions configures shard k's core store: its metrics label and
+// the shared ID allocator.
+func (s *Store) coreOptions(k int) core.StoreOptions {
+	return core.StoreOptions{Shard: strconv.Itoa(k), IDs: s.ids}
+}
+
+// eachShard runs fn for every shard in parallel and returns the lowest
+// failing shard's error.
+func (s *Store) eachShard(fn func(k int) error) error {
+	errs := make([]error, s.NumShards())
+	var wg sync.WaitGroup
+	for k := range errs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[k] = fn(k)
+		}()
+	}
+	wg.Wait()
+	return cmp.Or(errs...)
 }
 
 func shardDir(k int) string { return fmt.Sprintf("shard-%d", k) }
@@ -280,17 +292,9 @@ func checkNoShardDirs(dir string) error {
 // advanceIDs raises the shared allocator past every ID any shard has
 // assigned (the recovery path: replay pins IDs without allocating).
 func (s *Store) advanceIDs() {
-	var maxAnn, maxRef uint64
 	for _, v := range s.Views() {
-		na, nr := v.IDCounters()
-		if na > maxAnn {
-			maxAnn = na
-		}
-		if nr > maxRef {
-			maxRef = nr
-		}
+		s.ids.Advance(v.IDCounters())
 	}
-	s.ids.Advance(maxAnn, maxRef)
 }
 
 // NumShards returns the shard count.
